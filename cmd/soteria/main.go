@@ -32,8 +32,8 @@
 //	-explain-timing print the analysis span tree (where the time went)
 //
 // -explain-timing prints a per-phase timing tree to stderr: parse →
-// state model → Kripke structure → property checks, with each
-// property's engine attempts (and fallback reasons) nested below.
+// state model → Kripke structure → property checks, with one line per
+// property naming its engine and verdict.
 // Locally the tree is recorded in-process; with -remote the daemon
 // embeds its span tree (and the job's trace ID) in the response.
 //

@@ -73,6 +73,38 @@ func CheckAGBudget(k *kripke.Structure, f ctl.Formula, bound int, b *guard.Budge
 	return CheckAGPropBudget(k, func(s int) bool { return eval(k, s) }, bound, b), true
 }
 
+// CompletenessThreshold is the smallest bound at which a bounded AG
+// check on k is complete: the largest shortest-path distance from an
+// initial state to any reachable state. Every reachable bad state lies
+// within that many steps of an initial state, so a search to this
+// depth that finds no counterexample proves the property. It is at
+// most k.N-1, and 0 when every state is initial.
+func CompletenessThreshold(k *kripke.Structure) int {
+	dist := make([]int, k.N)
+	for s := range dist {
+		dist[s] = -1
+	}
+	queue := make([]int, 0, k.N)
+	for _, s := range k.Init {
+		if dist[s] < 0 {
+			dist[s] = 0
+			queue = append(queue, s)
+		}
+	}
+	depth := 0
+	for i := 0; i < len(queue); i++ {
+		s := queue[i]
+		depth = dist[s]
+		for _, t := range k.Succs[s] {
+			if dist[t] < 0 {
+				dist[t] = dist[s] + 1
+				queue = append(queue, t)
+			}
+		}
+	}
+	return depth
+}
+
 // boolEval compiles a propositional (non-temporal) formula into a
 // per-state evaluator.
 func boolEval(f ctl.Formula) (func(*kripke.Structure, int) bool, bool) {

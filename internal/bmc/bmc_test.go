@@ -65,6 +65,28 @@ func TestUnreachableBadState(t *testing.T) {
 	}
 }
 
+func TestCompletenessThreshold(t *testing.T) {
+	// Chain 0 -> 1 -> 2 -> 3 entered at 0; state 4 is unreachable.
+	k := kripke.New(5)
+	k.Init = []int{0}
+	for s := 0; s < 3; s++ {
+		k.AddEdge(s, s+1, "")
+	}
+	k.AddEdge(3, 0, "")
+	k.AddEdge(4, 3, "")
+	if got := CompletenessThreshold(k); got != 3 {
+		t.Errorf("chain threshold = %d, want 3", got)
+	}
+	k.Init = []int{0, 2}
+	if got := CompletenessThreshold(k); got != 1 {
+		t.Errorf("threshold with two entry states = %d, want 1", got)
+	}
+	// kripke.New makes every state initial.
+	if got := CompletenessThreshold(kripke.New(7)); got != 0 {
+		t.Errorf("all-initial threshold = %d, want 0", got)
+	}
+}
+
 func TestCheckAGFormula(t *testing.T) {
 	k := kripke.New(2)
 	k.Init = []int{0}

@@ -287,117 +287,27 @@ const (
 	BDD Engine = "bdd"
 	// BMC is SAT-based bounded model checking; it handles AG formulas
 	// with propositional bodies and reports a counterexample path when
-	// one exists within the bound.
+	// one exists within the bound. Finding none is a proof only when
+	// the bound reaches the model's completeness threshold.
 	BMC Engine = "bmc"
 )
 
-// fallbackChain is the engine order tried when an engine fails on a
-// property (budget exhaustion or contained panic); the failed engine
-// is skipped. Explicit remains the primary engine — it is the only one
-// producing counterexamples.
-var fallbackChain = []Engine{BDD, Explicit, BMC}
-
-// faultSite maps an engine to its fault-injection site.
-func faultSite(e Engine) string {
-	switch e {
-	case BDD:
-		return faultinject.SiteEngineBDD
-	case BMC:
-		return faultinject.SiteEngineBMC
-	}
-	return faultinject.SiteEngineExplicit
-}
-
-// bmcBound caps BMC unrolling depth.
-func bmcBound(k *kripke.Structure) int {
-	if k.N > 64 {
-		return 64
-	}
-	return k.N
-}
-
-// tryEngine decides f on k with one engine inside a recovery boundary.
-// memo, when non-nil, shares explicit-engine subformula results across
-// the sweep's properties. The attempt is recorded as an "engine" child
-// span of parent carrying the verdict (or error), the guard budget
-// consumed by the attempt, and — for the BDD engine — the kernel's
-// table counters; fallbackReason, when non-empty, explains why the
-// primary engine was abandoned.
-func tryEngine(k *kripke.Structure, b *guard.Budget, e Engine, propID string, f ctl.Formula, memo *modelcheck.Memo, parent *obs.Span, fallbackReason string) (out properties.PropertyOutcome, err error) {
-	esp := parent.StartChild("engine")
-	esp.Set("engine", string(e))
-	if fallbackReason != "" {
-		esp.Set("fallback_reason", fallbackReason)
-	}
-	states0, nodes0, confl0 := b.Spent()
-	defer func() {
-		states1, nodes1, confl1 := b.Spent()
-		esp.SetInt("states", states1-states0)
-		esp.SetInt("bdd_nodes", nodes1-nodes0)
-		esp.SetInt("sat_conflicts", confl1-confl0)
-		if err != nil {
-			esp.Set("error", err.Error())
-		} else if out.Holds {
-			esp.Set("verdict", "holds")
-		} else {
-			esp.Set("verdict", "violated")
-		}
-		esp.End()
-	}()
-	defer guard.RecoverTo(&err, "engine."+string(e))
-	faultinject.HitKey(faultSite(e), propID)
-	out.Engine = string(e)
-	switch e {
-	case BDD:
-		eng := symbolic.NewBudget(k, b)
-		r := eng.Check(f)
-		out.Holds = r.Holds
-		for _, s := range k.Init {
-			if !r.Sat[s] {
-				out.FailingStates++
-			}
-		}
-		st := eng.KernelStats()
-		esp.SetInt("bdd_live_nodes", int64(st.Nodes))
-		esp.SetInt("bdd_ite_lookups", int64(st.ITELookups))
-		esp.SetInt("bdd_ite_hits", int64(st.ITEHits))
-		esp.SetInt("bdd_op_lookups", int64(st.OpLookups))
-		esp.SetInt("bdd_op_hits", int64(st.OpHits))
-	case BMC:
-		r, handled := bmc.CheckAGBudget(k, f, bmcBound(k), b)
-		if !handled {
-			return out, fmt.Errorf("core: BMC handles only AG formulas with propositional bodies")
-		}
-		out.Holds = !r.Violated
-		if r.Violated {
-			out.FailingStates = 1
-			out.Counterexample = k.RenderPath(r.Path)
-		}
-	default:
-		r := modelcheck.CheckMemoBudget(k, f, b, memo)
-		out.Holds = r.Holds
-		out.FailingStates = len(r.FailingStates)
-		if !r.Holds && len(r.Counterexample) > 0 {
-			out.Counterexample = k.RenderPath(r.Counterexample)
-		}
-	}
-	return out, nil
-}
-
-// checkProperty decides one catalogue formula with the explicit engine
-// and, when it fails recoverably, retries on the other engines of
-// fallbackChain. Every failure is recorded as a Diagnostic; Err is set
-// only when no engine could decide the formula. The decision is traced
-// as a "property" child span of parent with one "engine" grandchild
-// per attempt.
-func checkProperty(k *kripke.Structure, b *guard.Budget, propID string, f ctl.Formula, memo *modelcheck.Memo, parent *obs.Span) properties.PropertyOutcome {
+// checkProperty decides one catalogue formula with the explicit
+// engine inside a recovery boundary. memo, when non-nil, shares
+// subformula results across the sweep's properties. A failure
+// (budget exhaustion, cancellation, contained panic) leaves the
+// property undecided: Err is set and the failure is recorded as an
+// "engine.explicit" Diagnostic. The decision is traced as a
+// "property" child span of parent carrying the engine, the verdict,
+// and any error.
+func checkProperty(k *kripke.Structure, b *guard.Budget, propID string, f ctl.Formula, memo *modelcheck.Memo, parent *obs.Span) (out properties.PropertyOutcome) {
 	psp := parent.StartChild("property")
 	psp.Set("id", propID)
-	defer psp.End()
-	finish := func(out properties.PropertyOutcome) properties.PropertyOutcome {
+	defer func() {
 		switch {
 		case out.Err != nil:
 			psp.Set("verdict", "undecided")
+			psp.Set("error", out.Err.Error())
 		case out.Holds:
 			psp.Set("verdict", "holds")
 		default:
@@ -406,8 +316,8 @@ func checkProperty(k *kripke.Structure, b *guard.Budget, propID string, f ctl.Fo
 		if out.Engine != "" {
 			psp.Set("engine", out.Engine)
 		}
-		return out
-	}
+		psp.End()
+	}()
 	// Per-property boundary: an exhausted budget (checked promptly, not
 	// amortized) or an injected per-property fault undecides only this
 	// property.
@@ -416,36 +326,27 @@ func checkProperty(k *kripke.Structure, b *guard.Budget, propID string, f ctl.Fo
 		b.Check("property")
 		return nil
 	}); err != nil {
-		return finish(properties.PropertyOutcome{
+		return properties.PropertyOutcome{
 			Diagnostics: []guard.Diagnostic{guard.Diagnose("property", propID, "", err)},
 			Err:         err,
-		})
-	}
-	var diags []guard.Diagnostic
-	record := func(e Engine, err error) {
-		diags = append(diags, guard.Diagnose("engine."+string(e), propID, string(e), err))
-	}
-	out, err := tryEngine(k, b, Explicit, propID, f, memo, psp, "")
-	if err == nil {
-		out.Diagnostics = diags
-		return finish(out)
-	}
-	record(Explicit, err)
-	lastErr := err
-	for _, e := range fallbackChain {
-		if e == Explicit {
-			continue
 		}
-		reason := fmt.Sprintf("%s: %v", diags[len(diags)-1].Stage, lastErr)
-		out, err = tryEngine(k, b, e, propID, f, memo, psp, reason)
-		if err == nil {
-			out.Diagnostics = diags
-			return finish(out)
-		}
-		record(e, err)
-		lastErr = err
 	}
-	return finish(properties.PropertyOutcome{Diagnostics: diags, Err: lastErr})
+	out.Engine = string(Explicit)
+	stage := "engine." + out.Engine
+	if err := guard.Run(stage, func() error {
+		faultinject.HitKey(faultinject.SiteEngineExplicit, propID)
+		r := modelcheck.CheckMemoBudget(k, f, b, memo)
+		out.Holds = r.Holds
+		out.FailingStates = len(r.FailingStates)
+		if !r.Holds && len(r.Counterexample) > 0 {
+			out.Counterexample = k.RenderPath(r.Counterexample)
+		}
+		return nil
+	}); err != nil {
+		out.Diagnostics = []guard.Diagnostic{guard.Diagnose(stage, propID, out.Engine, err)}
+		out.Err = err
+	}
+	return out
 }
 
 // CheckFormula verifies a custom CTL formula against the analysis
@@ -469,8 +370,8 @@ func (a *Analysis) budget() *guard.Budget {
 
 // CheckFormulaEngine is CheckFormula with an explicit backend choice
 // (the paper's NuSMV combined BDD- and SAT-based engines; §5). It
-// never panics: malformed formulas and engine faults come back as
-// errors.
+// never panics: malformed formulas, engine faults and undecided BMC
+// searches come back as errors.
 func (a *Analysis) CheckFormulaEngine(formula string, engine Engine) (holds bool, cex string, err error) {
 	defer guard.RecoverTo(&err, "checkformula")
 	if a.Kripke == nil {
@@ -496,14 +397,21 @@ func (a *Analysis) CheckFormulaEngine(formula string, engine Engine) (holds bool
 		r := symbolic.NewBudget(a.Kripke, a.budget()).Check(f)
 		return r.Holds, "", nil
 	case BMC:
-		r, handled := bmc.CheckAGBudget(a.Kripke, f, bmcBound(a.Kripke), a.budget())
+		bound := min(a.Kripke.N, 64)
+		r, handled := bmc.CheckAGBudget(a.Kripke, f, bound, a.budget())
 		if !handled {
 			return false, "", fmt.Errorf("core: BMC handles only AG formulas with propositional bodies")
 		}
-		if !r.Violated {
-			return true, "", nil
+		if r.Violated {
+			return false, a.Kripke.RenderPath(r.Path), nil
 		}
-		return false, a.Kripke.RenderPath(r.Path), nil
+		// A search that found nothing is a proof only when the bound
+		// reaches the completeness threshold; below it the property is
+		// undecided, never "holds".
+		if ct := bmc.CompletenessThreshold(a.Kripke); bound < ct {
+			return false, "", fmt.Errorf("core: BMC undecided: no counterexample within bound %d, below the completeness threshold %d", bound, ct)
+		}
+		return true, "", nil
 	}
 	return false, "", fmt.Errorf("core: unknown engine %q", engine)
 }

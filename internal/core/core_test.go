@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/soteria-analysis/soteria/internal/kripke"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 )
 
@@ -100,6 +101,43 @@ func TestCheckFormula(t *testing.T) {
 	if _, _, err := a.CheckFormula("(("); err == nil {
 		t.Error("expected parse error")
 	}
+}
+
+// TestBMCUndecidedBelowCompletenessThreshold: above 64 states BMC
+// unrolls to 64 steps only. When the model's completeness threshold is
+// deeper than that, a search that finds nothing must come back as an
+// error (undecided), never as holds=true; a counterexample inside the
+// bound is still a violation with its trace.
+func TestBMCUndecidedBelowCompletenessThreshold(t *testing.T) {
+	// A 66-state chain 0 -> 1 -> ... -> 65 entered only at state 0:
+	// state 65 is 65 steps deep, one past the 64-step bound.
+	k := kripke.New(66)
+	k.Init = []int{0}
+	for s := 0; s < 65; s++ {
+		k.AddEdge(s, s+1, "")
+	}
+	k.AddEdge(65, 65, "")
+	k.Labels[10]["near"] = true
+	k.Labels[65]["far"] = true
+	a := &Analysis{Kripke: k}
+
+	for _, f := range []string{`AG !"nowhere"`, `AG !"far"`} {
+		holds, _, err := a.CheckFormulaEngine(f, BMC)
+		if holds {
+			t.Errorf("%s: BMC reported holds=true from a bounded search below the completeness threshold", f)
+		}
+		if err == nil || !strings.Contains(err.Error(), "undecided") {
+			t.Errorf("%s: err = %v, want an undecided error", f, err)
+		}
+	}
+	holds, cex, err := a.CheckFormulaEngine(`AG !"near"`, BMC)
+	if err != nil || holds {
+		t.Fatalf(`AG !"near": holds=%t err=%v, want a violation`, holds, err)
+	}
+	if !strings.Contains(cex, k.Names[10]) {
+		t.Errorf("counterexample %q does not reach the violating state %s", cex, k.Names[10])
+	}
+
 }
 
 func TestOutputs(t *testing.T) {

@@ -48,8 +48,8 @@ func TestSpanTreeDeterministic(t *testing.T) {
 }
 
 // TestSpanTreeStructure pins the tree's skeleton: the analysis root
-// carries the pipeline phases in order, and each checked property
-// nests at least one engine attempt with a verdict.
+// carries the pipeline phases in order, and each property span names
+// the engine that decided it and its verdict.
 func TestSpanTreeStructure(t *testing.T) {
 	root := obs.NewRoot("analysis")
 	ctx := obs.WithSpan(context.Background(), root)
@@ -61,21 +61,22 @@ func TestSpanTreeStructure(t *testing.T) {
 	root.End()
 
 	var phases []string
-	props, engines := 0, 0
+	props := 0
 	root.Walk(func(depth int, sp *obs.Span) {
 		switch sp.Name() {
 		case "statemodel", "kripke", "check.general", "check":
 			phases = append(phases, sp.Name())
 		case "property":
 			props++
+			id, _ := sp.Str("id")
 			if v, ok := sp.Str("verdict"); !ok || v == "" {
-				id, _ := sp.Str("id")
 				t.Errorf("property %s has no verdict", id)
 			}
-		case "engine":
-			engines++
 			if e, ok := sp.Str("engine"); !ok || e == "" {
-				t.Errorf("engine span lacks engine attr")
+				t.Errorf("property %s has no engine", id)
+			}
+			if n := len(sp.Children()); n != 0 {
+				t.Errorf("property %s has %d child spans, want none", id, n)
 			}
 		}
 	})
@@ -88,8 +89,8 @@ func TestSpanTreeStructure(t *testing.T) {
 			t.Fatalf("phases = %v, want %v", phases, want)
 		}
 	}
-	if props == 0 || engines < props {
-		t.Fatalf("props = %d, engines = %d: want every property to carry an engine attempt", props, engines)
+	if props == 0 {
+		t.Fatal("no property spans")
 	}
 }
 

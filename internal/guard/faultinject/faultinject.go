@@ -4,7 +4,8 @@
 // is a single disarmed atomic load. Tests arm sites with ArmPanic or
 // ArmBudget to force a panic — or a simulated budget exhaustion — at
 // that exact boundary and assert that the public API still returns a
-// structured partial result.
+// structured partial result: a faulted stage is skipped, and a faulted
+// property is left undecided while the others keep their verdicts.
 package faultinject
 
 import (
@@ -30,12 +31,9 @@ const (
 	// SiteProperty is the per-property check boundary; HitKey passes
 	// the property ID.
 	SiteProperty = "properties.property"
-	// SiteEngineExplicit, SiteEngineBDD, SiteEngineBMC are the three
-	// CTL engine boundaries; HitKey passes the property ID when the
-	// engine runs under the property checker.
+	// SiteEngineExplicit is the explicit CTL engine boundary of the
+	// property checker; HitKey passes the property ID.
 	SiteEngineExplicit = "engine.explicit"
-	SiteEngineBDD      = "engine.bdd"
-	SiteEngineBMC      = "engine.bmc"
 	// SiteEngineLTL is the LTL checker boundary.
 	SiteEngineLTL = "engine.ltl"
 	// SiteCTLParse and SiteLTLParse are the formula parser boundaries.
@@ -65,9 +63,8 @@ const (
 func Sites() []string {
 	return []string{
 		SiteAnalyze, SiteStateModel, SiteKripke, SiteGeneral, SiteTaint,
-		SiteProperty, SiteEngineExplicit, SiteEngineBDD, SiteEngineBMC,
-		SiteEngineLTL, SiteCTLParse, SiteLTLParse, SiteSATSolve,
-		SiteBatchItem,
+		SiteProperty, SiteEngineExplicit, SiteEngineLTL, SiteCTLParse,
+		SiteLTLParse, SiteSATSolve, SiteBatchItem,
 	}
 }
 
@@ -107,7 +104,7 @@ func ArmPanic(site, key string) { arm(site, fault{kind: faultPanic, key: key}) }
 
 // ArmBudget arms site to simulate exhaustion of the named resource:
 // Hit panics with an injected *guard.BudgetError, exercising the
-// budget-exhaustion paths (diagnostics, engine fallback) without
+// budget-exhaustion paths (diagnostics, undecided properties) without
 // constructing a genuinely explosive input.
 func ArmBudget(site, key, resource string) {
 	arm(site, fault{kind: faultBudget, key: key, resource: resource})

@@ -562,26 +562,24 @@ func PropertyByID(id string) (AppProperty, bool) {
 
 // PropertyOutcome is the verdict of one catalogue formula under a
 // pluggable checker: either a decision (Holds plus counterexample
-// material) or a failure (Err non-nil, property undecided). The
-// Diagnostics record contained engine failures — present even on a
-// successful decision when a fallback engine had to step in.
+// material) or a failure (Err non-nil, property undecided, with the
+// contained engine failure recorded in Diagnostics).
 type PropertyOutcome struct {
 	Holds bool
 	// FailingStates counts the initial states violating the formula.
 	FailingStates int
 	// Counterexample is a rendered model trace, when available.
 	Counterexample string
-	// Engine names the engine that produced the decision.
+	// Engine names the engine that checked the formula.
 	Engine string
 	// Diagnostics record contained failures encountered on the way.
 	Diagnostics []guard.Diagnostic
-	// Err, when non-nil, means no engine could decide the formula.
+	// Err, when non-nil, means the formula could not be decided.
 	Err error
 }
 
 // PropertyChecker decides one catalogue formula. Implementations
-// impose budgets, recovery boundaries, and engine fallback; they must
-// not panic.
+// impose budgets and recovery boundaries; they must not panic.
 type PropertyChecker func(propID string, f ctl.Formula) PropertyOutcome
 
 // AppSpecificReport is the outcome of a catalogue sweep.

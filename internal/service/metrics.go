@@ -12,9 +12,9 @@ import (
 // format (hand-rendered; the serving tier is standard-library only).
 // Gauges come from the guard instrumentation; counters from the job
 // table, the persistent store, the in-process analysis cache, and the
-// engine/BDD-kernel and memo totals aggregated from job span trees;
-// histograms are the obs latency families (job end-to-end, queue
-// wait, per-phase, per-engine). The exposition-format test validates
+// memo totals aggregated from job span trees; histograms are the obs
+// latency families (job end-to-end, queue wait, per-phase,
+// per-property engine check). The exposition-format test validates
 // the output with obs.ValidateExposition, and the smoke script
 // re-validates it against a live daemon.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -64,13 +64,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("soteriad_store_evictions_total", "Records evicted from the store's memory front.", ss.Evictions)
 	counter("soteriad_store_corrupt_total", "Corrupt records quarantined on read.", ss.Corrupt)
 
-	// BDD kernel and explicit-engine memo totals, aggregated from the
-	// span trees of completed jobs.
-	counter("soteriad_bdd_nodes_total", "BDD nodes allocated by symbolic-engine checks (budget-charged).", s.bddNodes.Load())
-	counter("soteriad_bdd_ite_lookups_total", "BDD kernel ITE computed-table probes.", s.bddITELookups.Load())
-	counter("soteriad_bdd_ite_hits_total", "BDD kernel ITE computed-table hits.", s.bddITEHits.Load())
-	counter("soteriad_bdd_op_lookups_total", "BDD kernel quantify/rename computed-table probes.", s.bddOpLookups.Load())
-	counter("soteriad_bdd_op_hits_total", "BDD kernel quantify/rename computed-table hits.", s.bddOpHits.Load())
+	// Explicit-engine memo totals, aggregated from the span trees of
+	// completed jobs.
 	counter("soteriad_memo_lookups_total", "Explicit-engine cross-formula memo probes.", s.memoLookups.Load())
 	counter("soteriad_memo_hits_total", "Explicit-engine cross-formula memo hits.", s.memoHits.Load())
 	counter("soteriad_memo_subformulas_total", "Distinct subformulas memoized across property sweeps.", s.memoSubformulas.Load())
@@ -109,13 +104,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteHistogramProm(&b, "soteriad_phase_seconds",
 		"Per-phase analysis durations (ir, statemodel, kripke, check.general, check).",
 		phases...)
-	engines := make([]obs.Series, 0, len(engineNames))
-	for _, e := range engineNames {
-		engines = append(engines, obs.Series{Label: "engine", Value: e, H: s.engineHist[e]})
-	}
 	obs.WriteHistogramProm(&b, "soteriad_engine_check_seconds",
-		"Per-engine property-check durations, including fallback attempts.",
-		engines...)
+		"Per-property check durations by engine.",
+		obs.Series{Label: "engine", Value: "explicit", H: s.engineHist})
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprint(w, b.String())

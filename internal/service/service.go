@@ -242,19 +242,19 @@ type Server struct {
 	jobsReplayed, jobsReenqueued, idemHits, journalDupKeys atomic.Int64
 
 	// Latency histograms (log-spaced buckets, atomic): job end-to-end
-	// wall time, queue wait at worker pickup, per-phase and per-engine
-	// check durations. The maps are built once in New and read-only
-	// after, so workers index them without a lock.
+	// wall time, queue wait at worker pickup, per-phase durations, and
+	// the explicit engine's per-property check durations. The phase map
+	// is built once in New and read-only after, so workers index it
+	// without a lock.
 	jobLatency *obs.Histogram
 	queueWait  *obs.Histogram
 	phaseHist  map[string]*obs.Histogram
-	engineHist map[string]*obs.Histogram
+	engineHist *obs.Histogram
 
-	// Engine/BDD-kernel and memo counters aggregated from job span
-	// trees, surfaced on /metrics.
-	bddNodes, bddITELookups, bddITEHits, bddOpLookups, bddOpHits atomic.Int64
-	memoLookups, memoHits, memoSubformulas                       atomic.Int64
-	slowJobs                                                     atomic.Int64
+	// Memo counters aggregated from job span trees, surfaced on
+	// /metrics.
+	memoLookups, memoHits, memoSubformulas atomic.Int64
+	slowJobs                               atomic.Int64
 
 	jobsMu   sync.Mutex
 	jobs     map[string]*job
@@ -264,11 +264,9 @@ type Server struct {
 	started time.Time
 }
 
-// phaseNames and engineNames fix the label sets (and exposition order)
-// of the phase and engine histogram families.
+// phaseNames fixes the label set (and exposition order) of the phase
+// histogram family.
 var phaseNames = []string{"ir", "statemodel", "kripke", "check.general", "check"}
-
-var engineNames = []string{"explicit", "bdd", "bmc"}
 
 // testHookJobRunning, when set, is called by workers right after a
 // job transitions to running. Tests use it to hold workers in place
@@ -305,13 +303,10 @@ func New(cfg Config) (*Server, error) {
 		jobLatency: obs.NewHistogram(obs.DefaultLatencyBounds()),
 		queueWait:  obs.NewHistogram(obs.DefaultLatencyBounds()),
 		phaseHist:  map[string]*obs.Histogram{},
-		engineHist: map[string]*obs.Histogram{},
+		engineHist: obs.NewHistogram(obs.DefaultLatencyBounds()),
 	}
 	for _, p := range phaseNames {
 		s.phaseHist[p] = obs.NewHistogram(obs.DefaultLatencyBounds())
-	}
-	for _, e := range engineNames {
-		s.engineHist[e] = obs.NewHistogram(obs.DefaultLatencyBounds())
 	}
 
 	queueCap := cfg.QueueDepth
@@ -685,7 +680,7 @@ func (s *Server) runJob(j *job) {
 }
 
 // recordTelemetry folds one completed job's span tree into the
-// daemon-wide histograms and engine/memo counters.
+// daemon-wide histograms and memo counters.
 func (s *Server) recordTelemetry(root *obs.Span) {
 	s.jobLatency.Observe(root.Duration())
 	root.Walk(func(_ int, sp *obs.Span) {
@@ -697,17 +692,12 @@ func (s *Server) recordTelemetry(root *obs.Span) {
 			addSpanInt(sp, "memo_lookups", &s.memoLookups)
 			addSpanInt(sp, "memo_hits", &s.memoHits)
 			addSpanInt(sp, "memo_subformulas", &s.memoSubformulas)
-		case "engine":
-			if e, ok := sp.Str("engine"); ok {
-				if h := s.engineHist[e]; h != nil {
-					h.Observe(sp.Duration())
-				}
+		case "property":
+			// A property stopped at its own budget check never reached
+			// an engine and carries no engine attribute.
+			if e, _ := sp.Str("engine"); e == "explicit" {
+				s.engineHist.Observe(sp.Duration())
 			}
-			addSpanInt(sp, "bdd_nodes", &s.bddNodes)
-			addSpanInt(sp, "bdd_ite_lookups", &s.bddITELookups)
-			addSpanInt(sp, "bdd_ite_hits", &s.bddITEHits)
-			addSpanInt(sp, "bdd_op_lookups", &s.bddOpLookups)
-			addSpanInt(sp, "bdd_op_hits", &s.bddOpHits)
 		}
 	})
 }

@@ -72,11 +72,7 @@ func TestMetricsExposition(t *testing.T) {
 		`soteriad_phase_seconds_bucket{phase="statemodel",`,
 		`soteriad_phase_seconds_bucket{phase="check",`,
 		`soteriad_engine_check_seconds_bucket{engine="explicit",`,
-		`soteriad_engine_check_seconds_bucket{engine="bdd",`,
-		// BDD kernel and memo stats.
-		"soteriad_bdd_nodes_total",
-		"soteriad_bdd_ite_lookups_total",
-		"soteriad_bdd_op_lookups_total",
+		// Memo stats.
 		"soteriad_memo_lookups_total",
 		"soteriad_memo_hits_total",
 		"soteriad_slow_jobs_total",

@@ -164,75 +164,51 @@ func TestPerPropertyFaultIsolation(t *testing.T) {
 	}
 }
 
-// TestEngineFallback exhausts the explicit engine's budget for every
-// property and asserts the BDD engine steps in: all properties stay
-// decided (the run is complete), the P.10 violation survives, and
-// diagnostics record the explicit-engine failures.
-func TestEngineFallback(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	faultinject.ArmBudget(faultinject.SiteEngineExplicit, "", "states")
-	res, err := AnalyzeEnvironment(buggyEnv(t))
+// TestExplicitEngineFailureUndecides exhausts the explicit engine's
+// budget on one property. The explicit engine is the only engine on the
+// property-sweep path, so that property becomes undecided: it leaves
+// Checked, carries an engine.explicit diagnostic, and marks the run
+// incomplete, while every other property keeps its verdict.
+func TestExplicitEngineFailureUndecides(t *testing.T) {
+	clean, err := AnalyzeEnvironment(buggyEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Incomplete {
-		t.Errorf("fallback engines should keep the run complete; diagnostics = %v", res.Diagnostics)
+	const victim = "P.10"
+	if !clean.Violated(victim) {
+		t.Fatalf("baseline should violate %s; violations = %v", victim, clean.Violations)
 	}
-	if len(res.Checked) == 0 {
-		t.Error("no properties decided")
-	}
-	if !res.Violated("P.10") {
-		t.Errorf("P.10 verdict lost under engine fallback; violations = %v", res.Violations)
-	}
-	fell := false
-	for _, d := range res.Diagnostics {
-		if d.Engine == string(Explicit) && d.Kind == DiagnosticBudget {
-			fell = true
-		}
-	}
-	if !fell {
-		t.Errorf("no explicit-engine budget diagnostic recorded; got %v", res.Diagnostics)
-	}
-}
 
-// TestEngineFallbackSecondTier faults the explicit and BDD engines;
-// the catalogue's AG-shaped formulas are still decided by BMC, the
-// last engine in the chain.
-func TestEngineFallbackSecondTier(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	faultinject.ArmBudget(faultinject.SiteEngineExplicit, "", "states")
-	faultinject.ArmPanic(faultinject.SiteEngineBDD, "")
-	res, err := AnalyzeEnvironment(buggyEnv(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Checked) == 0 {
-		t.Error("BMC should still decide the AG-shaped catalogue formulas")
-	}
-	if len(res.Diagnostics) == 0 {
-		t.Error("no diagnostics recorded for the two failed engines")
-	}
-}
-
-// TestEngineFallbackExhausted faults every CTL engine; all properties
-// become undecided — but the run still returns structured.
-func TestEngineFallbackExhausted(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	faultinject.ArmBudget(faultinject.SiteEngineExplicit, "", "states")
-	faultinject.ArmPanic(faultinject.SiteEngineBDD, "")
-	faultinject.ArmPanic(faultinject.SiteEngineBMC, "")
+	faultinject.ArmBudget(faultinject.SiteEngineExplicit, victim, "states")
 	res, err := AnalyzeEnvironment(buggyEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Incomplete {
-		t.Error("with every engine failing, the properties must be undecided")
+		t.Error("result should be incomplete with one property undecided")
 	}
-	if len(res.Checked) != 0 {
-		t.Errorf("no property should be decided; got %v", res.Checked)
+	var want []string
+	for _, id := range clean.Checked {
+		if id != victim {
+			want = append(want, id)
+		}
 	}
-	if len(res.Diagnostics) == 0 {
-		t.Error("no diagnostics recorded")
+	if strings.Join(res.Checked, ",") != strings.Join(want, ",") {
+		t.Errorf("checked = %v, want %v (every property but %s)", res.Checked, want, victim)
+	}
+	found := false
+	for _, d := range res.Diagnostics {
+		if d.Property != victim {
+			t.Errorf("diagnostic for a property that should be decided: %v", d)
+			continue
+		}
+		if d.Stage == "engine.explicit" && d.Engine == string(Explicit) && d.Kind == DiagnosticBudget {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no engine.explicit budget diagnostic for %s; got %v", victim, res.Diagnostics)
 	}
 }
 

@@ -536,7 +536,9 @@ const (
 
 // CheckFormulaEngine verifies a custom CTL property with a specific
 // backend. The BMC engine handles only AG formulas with propositional
-// bodies (it returns an error otherwise).
+// bodies (it returns an error otherwise), and it returns an
+// "undecided" error when it finds no counterexample within a bound
+// short of the model's completeness threshold.
 func (r *Result) CheckFormulaEngine(formula string, engine Engine) (holds bool, counterexample string, err error) {
 	if r.analysis == nil {
 		return false, "", r.errIncomplete()
