@@ -105,7 +105,8 @@ func BenchmarkFig11aStateReduction(b *testing.B) {
 
 // BenchmarkFig11bExtraction measures state-model extraction per
 // state-count bucket (Fig. 11 bottom): small (4), medium (24), large
-// (192) models, plus a group union.
+// (192) models, plus the smallest (G.1, 4 states) and largest (G.3,
+// 2,304 states) multi-app environments.
 func BenchmarkFig11bExtraction(b *testing.B) {
 	cases := []struct {
 		name string
@@ -115,6 +116,7 @@ func BenchmarkFig11bExtraction(b *testing.B) {
 		{"24-states/O12", []string{"O12"}},
 		{"192-states/O1", []string{"O1"}},
 		{"group/G.1", market.Groups()[0].Members},
+		{"group/G.3", market.Groups()[2].Members},
 	}
 	for _, c := range cases {
 		var apps []*ir.App
@@ -126,6 +128,7 @@ func BenchmarkFig11bExtraction(b *testing.B) {
 			}
 		}
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m, err := statemodel.Build(apps...)
 				if err != nil {

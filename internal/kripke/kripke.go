@@ -12,6 +12,7 @@ package kripke
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -82,26 +83,189 @@ func New(n int) *Structure {
 // state is initial (the environment may start anywhere); transitions
 // with residual guards are included (they are possible behaviours —
 // the sound over-approximation the paper accepts).
+//
+// The result is what New followed by one AddEdge per transition (and a
+// "stutter" self-loop per deadlocked state) produces, built without
+// per-edge allocation: adjacency lists and edge labels are carved
+// from arenas sized by the transition counts.
 func FromModel(m *statemodel.Model) *Structure {
-	k := New(len(m.States))
-	for s := range m.States {
-		k.Names[s] = m.StateLabel(s)
-		for vi, v := range m.Vars {
-			k.Labels[s][v.Key+"="+v.Values[m.States[s].Idx[vi]]] = true
-		}
+	n := len(m.States)
+	k := &Structure{
+		N:      n,
+		Init:   make([]int, n),
+		Succs:  make([][]int, n),
+		Preds:  make([][]int, n),
+		Labels: make([]map[string]bool, n),
+		Names:  make([]string, n),
 	}
+	stateLabels(m, k)
+
+	// A state has at most as many successors (predecessors) as
+	// transitions leaving (entering) it.
+	outCount := make([]int, n)
+	inCount := make([]int, n)
 	for _, t := range m.Transitions {
-		k.AddEdge(t.From, t.To, t.Label())
-		// Event marker on the target state.
-		k.Labels[t.To]["ev:"+t.Event.String()] = true
+		outCount[t.From]++
+		inCount[t.To]++
 	}
-	// Total transition relation: deadlocked states self-loop.
-	for s := 0; s < k.N; s++ {
+	succArena := make([]int, len(m.Transitions))
+	predArena := make([]int, len(m.Transitions))
+	edgeArena := make([]int, len(m.Transitions))
+	edgeOf := make([][]int, n) // edge IDs, parallel to Succs
+	so, po := 0, 0
+	for s := 0; s < n; s++ {
+		k.Succs[s] = succArena[so : so : so+outCount[s]]
+		edgeOf[s] = edgeArena[so : so : so+outCount[s]]
+		so += outCount[s]
+		k.Preds[s] = predArena[po : po : po+inCount[s]]
+		po += inCount[s]
+	}
+
+	// Edges in order of first appearance, and each transition's edge.
+	edges := make([][2]int, 0, len(m.Transitions))
+	tEdge := make([]int, len(m.Transitions))
+	for i := range m.Transitions {
+		t := &m.Transitions[i]
+		e := -1
+		for j, to := range k.Succs[t.From] {
+			if to == t.To {
+				e = edgeOf[t.From][j]
+				break
+			}
+		}
+		if e < 0 {
+			e = len(edges)
+			edges = append(edges, [2]int{t.From, t.To})
+			k.Succs[t.From] = append(k.Succs[t.From], t.To)
+			edgeOf[t.From] = append(edgeOf[t.From], e)
+			k.Preds[t.To] = append(k.Preds[t.To], t.From)
+		}
+		tEdge[i] = e
+	}
+	eventMarkers(m, k, inCount)
+
+	k.EdgeInfo = edgeLabels(m, edges, tEdge)
+
+	for s := 0; s < n; s++ {
+		// Total transition relation: deadlocked states self-loop.
 		if len(k.Succs[s]) == 0 {
 			k.AddEdge(s, s, "stutter")
 		}
+		k.Succs[s] = slices.Clip(k.Succs[s])
+		k.Preds[s] = slices.Clip(k.Preds[s])
 	}
 	return k
+}
+
+// edgeLabels returns, per edge, the distinct labels of its
+// transitions in transition order, carved from one arena.
+func edgeLabels(m *statemodel.Model, edges [][2]int, tEdge []int) map[[2]int][]string {
+	off := make([]int, len(edges)+1)
+	for _, e := range tEdge {
+		off[e+1]++
+	}
+	for e := range edges {
+		off[e+1] += off[e]
+	}
+	arena := make([]string, len(m.Transitions))
+	n := make([]int, len(edges))
+	for i := range m.Transitions {
+		e := tEdge[i]
+		l := m.Transitions[i].Label()
+		if l == "" || slices.Contains(arena[off[e]:off[e]+n[e]], l) {
+			continue
+		}
+		arena[off[e]+n[e]] = l
+		n[e]++
+	}
+	info := make(map[[2]int][]string, len(edges))
+	for e, key := range edges {
+		if lo, hi := off[e], off[e]+n[e]; hi > lo {
+			info[key] = arena[lo:hi:hi]
+		}
+	}
+	return info
+}
+
+// eventMarkers labels each state with "ev:<event>" for every event of
+// a transition entering it. Markers are rendered once per distinct
+// event, and each (state, event) pair is set once: transitions are
+// visited grouped by target, with a per-event stamp.
+func eventMarkers(m *statemodel.Model, k *Structure, inCount []int) {
+	evID := map[statemodel.Event]int{}
+	var markers []string
+	tev := make([]int, len(m.Transitions))
+	for i := range m.Transitions {
+		ev := m.Transitions[i].Event
+		// Runs of transitions share an event; look up only changes.
+		if i > 0 && ev == m.Transitions[i-1].Event {
+			tev[i] = tev[i-1]
+			continue
+		}
+		id, ok := evID[ev]
+		if !ok {
+			id = len(markers)
+			evID[ev] = id
+			markers = append(markers, "ev:"+ev.String())
+		}
+		tev[i] = id
+	}
+	start := make([]int, len(inCount)+1)
+	for s, c := range inCount {
+		start[s+1] = start[s] + c
+	}
+	byTarget := make([]int, len(m.Transitions))
+	for i := range m.Transitions {
+		to := m.Transitions[i].To
+		byTarget[start[to]] = i
+		start[to]++
+	}
+	stamp := make([]int, len(markers)) // target+1 that last set the marker
+	for _, i := range byTarget {
+		to, id := m.Transitions[i].To, tev[i]
+		if stamp[id] != to+1 {
+			stamp[id] = to + 1
+			k.Labels[to][markers[id]] = true
+		}
+	}
+}
+
+// stateLabels sets every state's name (statemodel.Model.StateLabel),
+// its "variable=value" propositions and its initial flag, rendering
+// each proposition once and all names into one string.
+func stateLabels(m *statemodel.Model, k *Structure) {
+	props := make([][]string, len(m.Vars))
+	for vi, v := range m.Vars {
+		props[vi] = make([]string, len(v.Values))
+		for i, x := range v.Values {
+			props[vi][i] = v.Key + "=" + x
+		}
+	}
+	var sb strings.Builder
+	ends := make([]int, len(m.States))
+	for s, st := range m.States {
+		labels := make(map[string]bool, len(st.Idx)+1)
+		sb.WriteByte('[')
+		for vi, x := range st.Idx {
+			if vi > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(props[vi][x])
+			labels[props[vi][x]] = true
+		}
+		sb.WriteByte(']')
+		ends[s] = sb.Len()
+		k.Labels[s] = labels
+		k.Init[s] = s
+	}
+	names := sb.String()
+	for s, end := range ends {
+		start := 0
+		if s > 0 {
+			start = ends[s-1]
+		}
+		k.Names[s] = names[start:end]
+	}
 }
 
 // Props returns the sorted set of all propositions used in the

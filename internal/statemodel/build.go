@@ -2,6 +2,7 @@ package statemodel
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -44,10 +45,9 @@ func BuildOpt(opt Options, apps ...*ir.App) (*Model, error) {
 // budget disables all checks.
 func BuildBudget(b *guard.Budget, opt Options, apps ...*ir.App) (*Model, error) {
 	m := &Model{
-		varIdx:  map[string]int{},
-		stateID: map[string]int{},
-		opt:     opt,
-		budget:  b,
+		varIdx: map[string]int{},
+		opt:    opt,
+		budget: b,
 	}
 	for _, app := range apps {
 		am := &AppModel{App: app, HandleCap: map[string]string{}}
@@ -267,45 +267,111 @@ func (m *Model) enumerateStates() error {
 	// Charge the whole product against the budget before materialising
 	// it, so a too-large model aborts in O(vars) rather than O(states).
 	m.budget.States(total, "statemodel.enumerate")
-	idx := make([]int, len(m.Vars))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(m.Vars) {
-			m.budget.Tick("statemodel.enumerate")
-			m.internState(idx)
-			return
-		}
-		for j := range m.Vars[i].Values {
-			idx[i] = j
-			rec(i + 1)
-		}
+	if err := m.initPacking(total); err != nil {
+		return err
 	}
-	rec(0)
+	// Packed keys run through the product in lexicographic order (last
+	// variable fastest), so state k is the one with packed key k. All
+	// index vectors share one backing array.
+	n := len(m.Vars)
+	backing := make([]int, total*n)
+	m.States = make([]State, 0, total)
+	m.stateKeys = make([]uint64, 0, total)
+	for k := 0; k < total; k++ {
+		m.budget.Tick("statemodel.enumerate")
+		idx := backing[k*n : (k+1)*n : (k+1)*n]
+		m.unpack(uint64(k), idx)
+		m.addState(uint64(k), idx)
+	}
 	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Transition derivation
+//
+// Work that does not depend on the source state is done once: per path
+// (guard atom tables, action targets, the actions signature) and per
+// (path, event) (evt.value atoms, the trigger's value, residual guards
+// and their labels). The per-state loop only indexes tables and adds
+// packed-key offsets.
 
 func (m *Model) deriveTransitions() {
-	seen := map[edgeKey]bool{}
+	es := newEdgeSet()
 	for ai, am := range m.Apps {
 		for _, r := range am.Results {
 			trigKey := m.triggerKey(am.App, r.Entry.Sub)
 			for _, path := range r.Paths {
-				m.derivePathTransitions(ai, am, r.Entry, trigKey, path, seen)
+				m.derivePathTransitions(ai, am, r.Entry, trigKey, path, es)
 			}
 		}
 	}
+	m.Transitions = es.transitions()
 }
 
-type edgeKey struct {
-	from, to int
-	label    string
-	app      int
+// edgeSet collects the transitions of a model as compact
+// (from, to, prototype) records, deduplicated by (from, to, label,
+// app). A prototype carries everything but the endpoints, so derived
+// transitions share one Event, Guard and label per prototype.
+type edgeSet struct {
+	// seen holds (class, from, to) packed into one integer, where
+	// class numbers the distinct (label, app) pairs; state IDs fit in
+	// stateBits because Build and Union stay within maxStates.
+	seen    map[uint64]struct{}
+	classes map[labelApp]uint64
+	protos  []Transition
+	class   []uint64 // per prototype
+	edges   []edge
 }
 
-func (m *Model) derivePathTransitions(ai int, am *AppModel, ep *ir.EntryPoint, trigKey string, path symexec.Path, seen map[edgeKey]bool) {
+type labelApp struct {
+	label string
+	app   int
+}
+
+type edge struct {
+	from, to, proto int32
+}
+
+func newEdgeSet() *edgeSet {
+	return &edgeSet{seen: map[uint64]struct{}{}, classes: map[labelApp]uint64{}}
+}
+
+// proto registers a transition prototype, stamping its rendered label.
+func (es *edgeSet) proto(t Transition) int32 {
+	t.label = t.Label()
+	la := labelApp{t.label, t.App}
+	c, ok := es.classes[la]
+	if !ok {
+		c = uint64(len(es.classes))
+		es.classes[la] = c
+	}
+	es.protos = append(es.protos, t)
+	es.class = append(es.class, c)
+	return int32(len(es.protos) - 1)
+}
+
+// add records the transition from → to of prototype p unless an equal
+// one (same endpoints, label and app) is already present.
+func (es *edgeSet) add(from, to int, p int32) {
+	k := es.class[p]<<(2*stateBits) | uint64(from)<<stateBits | uint64(to)
+	if _, dup := es.seen[k]; dup {
+		return
+	}
+	es.seen[k] = struct{}{}
+	es.edges = append(es.edges, edge{from: int32(from), to: int32(to), proto: p})
+}
+
+// transitions materialises the recorded transitions in insertion order.
+func (es *edgeSet) transitions() []Transition {
+	out := make([]Transition, len(es.edges))
+	for i, e := range es.edges {
+		out[i] = es.protos[e.proto]
+		out[i].From, out[i].To = int(e.from), int(e.to)
+	}
+	return out
+}
+
+func (m *Model) derivePathTransitions(ai int, am *AppModel, ep *ir.EntryPoint, trigKey string, path symexec.Path, es *edgeSet) {
 	sub := ep.Sub
 	// Determine the event values this path can fire on.
 	var events []Event
@@ -323,11 +389,10 @@ func (m *Model) derivePathTransitions(ai int, am *AppModel, ep *ir.EntryPoint, t
 		}
 		events = []Event{{VarKey: "timer.time", Value: v, Kind: sub.Kind}}
 	default:
-		v, vi, ok := m.VarByKey(trigKey)
+		v, _, ok := m.VarByKey(trigKey)
 		if !ok {
 			return
 		}
-		_ = vi
 		for i, val := range v.Values {
 			if sub.Value != "" && val != sub.Value {
 				continue
@@ -338,12 +403,13 @@ func (m *Model) derivePathTransitions(ai int, am *AppModel, ep *ir.EntryPoint, t
 			events = append(events, Event{VarKey: trigKey, Value: val, Kind: sub.Kind})
 		}
 	}
+	if len(events) == 0 {
+		return
+	}
 
+	cp := m.compilePath(am.App, path)
 	for _, ev := range events {
-		for s := range m.States {
-			m.budget.Tick("statemodel.transitions")
-			m.applyPath(ai, am, ep, path, ev, s, seen)
-		}
+		m.deriveEventTransitions(ai, sub.Handler, cp, ev, es)
 	}
 }
 
@@ -378,12 +444,163 @@ func (m *Model) eventConsistent(v *Var, valIdx int, guard pathcond.Cond) bool {
 	return true
 }
 
-// applyPath derives the transition(s) of one path from state s on
-// event ev.
-func (m *Model) applyPath(ai int, am *AppModel, ep *ir.EntryPoint, path symexec.Path, ev Event, s int, seen map[edgeKey]bool) {
+// verdict is a guard atom's outcome in one post-event state.
+type verdict byte
+
+const (
+	holds verdict = iota
+	fails
+	residual // undecided: the atom stays in the transition's guard
+)
+
+// guardAtom is one path guard atom resolved against the model.
+type guardAtom struct {
+	atom pathcond.Atom // as it appears in a residual guard
+	// vi is the model variable the atom is decided by, with table
+	// giving the verdict per value of that variable; -1 for atoms the
+	// state cannot decide.
+	vi    int
+	table []verdict
+	evt   bool // evt.value atom, decided per event
+}
+
+// compiledPath is a symbolic path resolved against the model's
+// variables, independent of the source state and event.
+type compiledPath struct {
+	atoms  []guardAtom // guard atoms in path order; none under EventOnlyLabels
+	opaque []string    // the guard's opaque terms, carried into residuals
+	// writes lists the variables the actions assign; branches holds,
+	// per fork of the action sequence in fork order, the packed sum of
+	// the values finally written to them.
+	writes   []int
+	branches []uint64
+	sig      string
+}
+
+func (m *Model) compilePath(app *ir.App, path symexec.Path) *compiledPath {
+	cp := &compiledPath{sig: path.ActionsSignature()}
+	if !m.opt.EventOnlyLabels {
+		cp.opaque = path.Guard.Opaque
+		for _, atom := range path.Guard.Atoms {
+			cp.atoms = append(cp.atoms, m.compileAtom(app, atom))
+		}
+	}
+
+	// Apply actions in order; unknown writes fork. Each fork is the
+	// vector of values written, indexed like writes.
+	forks := [][]int{nil}
+	for _, act := range path.Actions {
+		vi, targets := m.actionTargets(act)
+		if len(targets) == 0 {
+			continue
+		}
+		p := slices.Index(cp.writes, vi)
+		if p < 0 {
+			p = len(cp.writes)
+			cp.writes = append(cp.writes, vi)
+		}
+		var out [][]int
+		for _, f := range forks {
+			for _, tv := range targets {
+				nf := make([]int, len(cp.writes))
+				copy(nf, f)
+				nf[p] = tv
+				out = append(out, nf)
+			}
+		}
+		forks = out
+	}
+	cp.branches = make([]uint64, len(forks))
+	for b, f := range forks {
+		for p, vi := range cp.writes {
+			cp.branches[b] += uint64(f[p]) * m.stride[vi]
+		}
+	}
+	return cp
+}
+
+// compileAtom resolves one guard atom: against the variable it reads
+// when the state decides it, otherwise as an atom that is always
+// residual (or, for evt.value, decided per event).
+func (m *Model) compileAtom(app *ir.App, atom pathcond.Atom) guardAtom {
+	ga := guardAtom{atom: atom, vi: -1}
+	key, ok := canonicalAtomVar(app, atom.Var)
+	if !ok {
+		ga.evt = atom.Var == "evt.value"
+		return ga
+	}
+	v, vi, found := m.VarByKey(key)
+	if !found {
+		return ga
+	}
+	if v.Numeric {
+		na := atom
+		na.Var = key
+		ga.atom, ga.vi = na, vi
+		ga.table = make([]verdict, len(v.Values))
+		for i, vc := range v.ValueConds {
+			switch {
+			case pathcond.Implies(vc, na):
+				ga.table[i] = holds
+			case pathcond.Implies(vc, na.Negated()):
+				ga.table[i] = fails
+			default:
+				ga.table[i] = residual
+			}
+		}
+		return ga
+	}
+	if atom.IsNum || atom.IsSym() || (atom.Op != pathcond.EQ && atom.Op != pathcond.NE) {
+		return ga
+	}
+	ga.vi = vi
+	ga.table = make([]verdict, len(v.Values))
+	for i, val := range v.Values {
+		if (val == atom.Str) != (atom.Op == pathcond.EQ) {
+			ga.table[i] = fails
+		}
+	}
+	return ga
+}
+
+// actionTargets returns the variable a device action writes and the
+// domain indices it may write (several when an unknown value forks).
+func (m *Model) actionTargets(act symexec.Action) (int, []int) {
+	key := varKeyFor(act.Cap, act.Attr)
+	v, vi, ok := m.VarByKey(key)
+	if !ok {
+		return -1, nil
+	}
+	var targets []int
+	if v.Numeric {
+		eq := pathcond.Atom{Var: key, Op: pathcond.EQ}
+		if n, err := strconv.ParseFloat(act.Value, 64); err == nil {
+			eq.IsNum = true
+			eq.Num = n
+		} else {
+			eq.RHSVar = act.Value
+		}
+		for i, vc := range v.ValueConds {
+			if pathcond.Feasible(vc.WithAtom(eq)) {
+				targets = append(targets, i)
+			}
+		}
+	} else if i, found := v.ValueIndex(act.Value); found {
+		targets = []int{i}
+	} else if act.Symbolic {
+		// Unknown written value: fork to every domain value.
+		for i := range v.Values {
+			targets = append(targets, i)
+		}
+	}
+	return vi, targets
+}
+
+// deriveEventTransitions derives the transitions of one compiled path
+// on event ev from every state.
+func (m *Model) deriveEventTransitions(ai int, handler string, cp *compiledPath, ev Event, es *edgeSet) {
 	// Post-event state: the trigger variable takes the event value.
-	idx := make([]int, len(m.Vars))
-	copy(idx, m.States[s].Idx)
+	tvi, tval := -1, 0
 	if ev.VarKey != "app.touch" && ev.VarKey != "timer.time" {
 		v, vi, ok := m.VarByKey(ev.VarKey)
 		if !ok {
@@ -393,97 +610,92 @@ func (m *Model) applyPath(ai int, am *AppModel, ep *ir.EntryPoint, path symexec.
 		if !ok {
 			return
 		}
-		idx[vi] = evi
+		tvi, tval = vi, evi
 	}
 
-	residual, ok := pathcond.True(), true
-	if !m.opt.EventOnlyLabels {
-		residual, ok = m.resolveGuard(am.App, path.Guard, ev, idx)
-	}
-	if !ok {
-		return
-	}
-
-	// Apply actions in order; unknown writes fork.
-	states := [][]int{idx}
-	for _, act := range path.Actions {
-		states = m.applyAction(states, act)
-	}
-	for _, target := range states {
-		to := m.internState(target)
-		t := Transition{
-			From: s, To: to, Event: ev, Guard: residual,
-			App: ai, Handler: ep.Sub.Handler, ActionsSig: path.ActionsSignature(),
-		}
-		k := edgeKey{from: s, to: to, label: t.Label(), app: ai}
-		if seen[k] {
+	// verdicts holds one verdict per atom; atoms the state cannot
+	// decide are settled here, once per event.
+	verdicts := make([]byte, len(cp.atoms))
+	for i, a := range cp.atoms {
+		if a.vi >= 0 {
 			continue
 		}
-		seen[k] = true
-		m.Transitions = append(m.Transitions, t)
+		verdicts[i] = byte(residual)
+		if a.evt {
+			if ok, decided := m.decideEvtAtom(a.atom, ev); decided {
+				if !ok {
+					m.budget.TickN(uint64(len(m.States)), "statemodel.transitions")
+					return
+				}
+				verdicts[i] = byte(holds)
+			}
+		}
+	}
+
+	// Transition prototypes keyed by the verdict vector.
+	protos := map[string]int32{}
+	for s := range m.States {
+		m.budget.Tick("statemodel.transitions")
+		st := m.States[s].Idx
+		feasible := true
+		for i := range cp.atoms {
+			a := &cp.atoms[i]
+			if a.vi < 0 {
+				continue
+			}
+			x := st[a.vi]
+			if a.vi == tvi {
+				x = tval
+			}
+			v := a.table[x]
+			if v == fails {
+				feasible = false
+				break
+			}
+			verdicts[i] = byte(v)
+		}
+		if !feasible {
+			continue
+		}
+		p, ok := protos[string(verdicts)]
+		if !ok {
+			p = es.proto(Transition{
+				Event: ev, Guard: cp.residual(verdicts),
+				App: ai, Handler: handler, ActionsSig: cp.sig,
+			})
+			protos[string(verdicts)] = p
+		}
+
+		// Packed key of the post-event state with the written
+		// variables cleared; each fork adds its written values.
+		key := m.stateKeys[s]
+		if tvi >= 0 {
+			key += uint64(tval)*m.stride[tvi] - uint64(st[tvi])*m.stride[tvi]
+		}
+		for _, vi := range cp.writes {
+			x := st[vi]
+			if vi == tvi {
+				x = tval
+			}
+			key -= uint64(x) * m.stride[vi]
+		}
+		for _, b := range cp.branches {
+			es.add(s, m.stateOf(key+b), p)
+		}
 	}
 }
 
-// resolveGuard evaluates the path guard against the post-event state,
-// returning the residual condition (atoms it cannot decide) and
-// whether the guard is satisfiable in this state.
-func (m *Model) resolveGuard(app *ir.App, guard pathcond.Cond, ev Event, idx []int) (pathcond.Cond, bool) {
-	residual := pathcond.Cond{Opaque: guard.Opaque}
-	for _, atom := range guard.Atoms {
-		key, ok := canonicalAtomVar(app, atom.Var)
-		if !ok {
-			if atom.Var == "evt.value" {
-				// Resolve against the event value.
-				dec, decided := m.decideEvtAtom(atom, ev)
-				if decided {
-					if !dec {
-						return residual, false
-					}
-					continue
-				}
-				residual = residual.WithAtom(atom)
-				continue
-			}
-			residual = residual.WithAtom(atom)
-			continue
-		}
-		v, vi, found := m.VarByKey(key)
-		if !found {
-			residual = residual.WithAtom(atom)
-			continue
-		}
-		if v.Numeric {
-			na := atom
-			na.Var = key
-			vc := v.ValueConds[idx[vi]]
-			if pathcond.Implies(vc, na) {
-				continue
-			}
-			if pathcond.Implies(vc, na.Negated()) {
-				return residual, false
-			}
-			residual = residual.WithAtom(na)
-			continue
-		}
-		val := v.Values[idx[vi]]
-		if atom.IsNum || atom.IsSym() {
-			residual = residual.WithAtom(atom)
-			continue
-		}
-		switch atom.Op {
-		case pathcond.EQ:
-			if val != atom.Str {
-				return residual, false
-			}
-		case pathcond.NE:
-			if val == atom.Str {
-				return residual, false
-			}
-		default:
-			residual = residual.WithAtom(atom)
+// residual builds the residual guard for one verdict vector: the
+// undecided atoms in path order plus the guard's opaque terms.
+func (cp *compiledPath) residual(verdicts []byte) pathcond.Cond {
+	g := pathcond.Cond{Opaque: cp.opaque}
+	for i, a := range cp.atoms {
+		if verdict(verdicts[i]) == residual {
+			g.Atoms = append(g.Atoms, a.atom)
 		}
 	}
-	return residual, true
+	g.Atoms = slices.Clip(g.Atoms)
+	return g
 }
 
 // decideEvtAtom decides an evt.value atom against a concrete event.
@@ -516,53 +728,6 @@ func (m *Model) decideEvtAtom(atom pathcond.Atom, ev Event) (holds, decided bool
 	return false, false
 }
 
-// applyAction applies one device action to each candidate state
-// vector, possibly forking on unknown writes.
-func (m *Model) applyAction(states [][]int, act symexec.Action) [][]int {
-	key := varKeyFor(act.Cap, act.Attr)
-	v, vi, ok := m.VarByKey(key)
-	if !ok {
-		return states
-	}
-	var targets []int
-	if v.Numeric {
-		eq := pathcond.Atom{Var: key, Op: pathcond.EQ}
-		if n, err := strconv.ParseFloat(act.Value, 64); err == nil {
-			eq.IsNum = true
-			eq.Num = n
-		} else {
-			eq.RHSVar = act.Value
-		}
-		for i, vc := range v.ValueConds {
-			if pathcond.Feasible(vc.WithAtom(eq)) {
-				targets = append(targets, i)
-			}
-		}
-	} else {
-		if i, found := v.ValueIndex(act.Value); found {
-			targets = []int{i}
-		} else if act.Symbolic {
-			// Unknown written value: fork to every domain value.
-			for i := range v.Values {
-				targets = append(targets, i)
-			}
-		}
-	}
-	if len(targets) == 0 {
-		return states
-	}
-	var out [][]int
-	for _, st := range states {
-		for _, tv := range targets {
-			ns := make([]int, len(st))
-			copy(ns, st)
-			ns[vi] = tv
-			out = append(out, ns)
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Nondeterminism
 
@@ -570,14 +735,8 @@ func (m *Model) applyAction(states [][]int, act symexec.Action) [][]int {
 // transitions to different successors (§4.2: "SOTERIA reports
 // nondeterministic state models as a safety violation").
 func (m *Model) detectNondeterminism() {
-	group := map[string][]int{}
-	for i, t := range m.Transitions {
-		k := fmt.Sprintf("%d|%s", t.From, t.Event.String())
-		group[k] = append(group[k], i)
-	}
 	const maxReports = 64
-	for _, k := range sortedKeys(group) {
-		ts := group[k]
+	for _, ts := range m.eventGroups() {
 		for i := 0; i < len(ts) && len(m.Nondet) < maxReports; i++ {
 			m.budget.Tick("statemodel.nondet")
 			for j := i + 1; j < len(ts); j++ {
@@ -597,6 +756,98 @@ func (m *Model) detectNondeterminism() {
 			}
 		}
 	}
+}
+
+// eventGroups groups transition indices by source state and rendered
+// event, transitions in index order, and returns the groups in the
+// order of their "from|event" strings. Events that render alike share
+// a group. Those strings are not built: groups are ordered by the rank
+// of the "from|" prefix, then of the event string. This is the same
+// order, since no "from|" prefix is a prefix of another.
+func (m *Model) eventGroups() [][]int {
+	n := len(m.Transitions)
+	// Rank the distinct rendered events and source states.
+	evID := map[Event]int{}
+	nameID := map[string]int{}
+	var names []string
+	tev := make([]int, n)
+	fromID := make([]int, len(m.States))
+	var froms []string
+	id := -1
+	for i, t := range m.Transitions {
+		// Runs of transitions share an event; look up only changes.
+		if id < 0 || t.Event != m.Transitions[i-1].Event {
+			var ok bool
+			if id, ok = evID[t.Event]; !ok {
+				name := t.Event.String()
+				if id, ok = nameID[name]; !ok {
+					id = len(names)
+					nameID[name] = id
+					names = append(names, name)
+				}
+				evID[t.Event] = id
+			}
+		}
+		tev[i] = id
+		if fromID[t.From] == 0 {
+			froms = append(froms, strconv.Itoa(t.From)+"|")
+			fromID[t.From] = len(froms)
+		}
+	}
+	evRank := ranks(names)
+	fromRank := ranks(froms)
+
+	// Radix sort: by event rank, then stably by source rank.
+	byEv := countingSort(identity(n), len(names), func(i int) int { return evRank[tev[i]] })
+	order := countingSort(byEv, len(froms), func(i int) int { return fromRank[fromID[m.Transitions[i].From]-1] })
+
+	var groups [][]int
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && m.Transitions[order[hi]].From == m.Transitions[order[lo]].From && tev[order[hi]] == tev[order[lo]] {
+			hi++
+		}
+		groups = append(groups, order[lo:hi:hi])
+		lo = hi
+	}
+	return groups
+}
+
+// ranks returns each string's position in sorted order.
+func ranks(ss []string) []int {
+	order := identity(len(ss))
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(ss[a], ss[b]) })
+	r := make([]int, len(ss))
+	for pos, i := range order {
+		r[i] = pos
+	}
+	return r
+}
+
+func identity(n int) []int {
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = i
+	}
+	return xs
+}
+
+// countingSort stably orders xs by key, which must lie in [0, buckets).
+func countingSort(xs []int, buckets int, key func(int) int) []int {
+	start := make([]int, buckets+1)
+	for _, x := range xs {
+		start[key(x)+1]++
+	}
+	for b := 1; b <= buckets; b++ {
+		start[b] += start[b-1]
+	}
+	out := make([]int, len(xs))
+	for _, x := range xs {
+		k := key(x)
+		out[start[k]] = x
+		start[k]++
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------

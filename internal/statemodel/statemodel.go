@@ -17,7 +17,10 @@
 package statemodel
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -98,11 +101,17 @@ type Transition struct {
 	// ActionsSig is the contributing path's action signature, kept for
 	// diagnostics and the general properties.
 	ActionsSig string
+	// label is Label() as rendered once per distinct label by Build
+	// and Union; empty (synthetic transitions) means render on demand.
+	label string
 }
 
 // Label renders the paper-style transition label: event plus residual
 // predicate.
 func (t Transition) Label() string {
+	if t.label != "" {
+		return t.label
+	}
 	if t.Guard.IsTrue() {
 		return t.Event.String()
 	}
@@ -136,8 +145,9 @@ type Model struct {
 	Vars        []*Var
 	varIdx      map[string]int
 	States      []State
-	stateIdx    map[string]bool // presence; index derived from Idx encoding
-	stateID     map[string]int
+	stride      []uint64       // place value of each variable in packed state keys (initPacking)
+	stateKeys   []uint64       // packed key of each state
+	stateID     map[uint64]int // packed key → state ID
 	Transitions []Transition
 	Nondet      []NondetReport
 	Warnings    []string
@@ -196,31 +206,70 @@ func (m *Model) FindStates(req map[string]string) []int {
 	return out
 }
 
-func (m *Model) stateKey(idx []int) string {
-	var sb strings.Builder
-	for _, i := range idx {
-		fmt.Fprintf(&sb, "%d,", i)
+// initPacking sets the place values of the packed state keys, the
+// last variable varying fastest, and sizes the key index for sizeHint
+// states. It fails when the domain product overflows a uint64.
+func (m *Model) initPacking(sizeHint int) error {
+	m.stride = make([]uint64, len(m.Vars))
+	place := uint64(1)
+	for i := len(m.Vars) - 1; i >= 0; i-- {
+		m.stride[i] = place
+		n := uint64(len(m.Vars[i].Values))
+		if n != 0 && place > math.MaxUint64/n {
+			return errors.New("statemodel: state space exceeds 2^64 packed keys")
+		}
+		place *= n
 	}
-	return sb.String()
+	m.stateID = make(map[uint64]int, sizeHint)
+	return nil
 }
 
-// internStateByIdx returns the state's ID, creating it if new.
-func (m *Model) internState(idx []int) int {
-	k := m.stateKey(idx)
-	if id, ok := m.stateID[k]; ok {
-		return id
+// pack returns the packed key of a state's domain indices.
+func (m *Model) pack(idx []int) uint64 {
+	var k uint64
+	for i, x := range idx {
+		k += uint64(x) * m.stride[i]
 	}
+	return k
+}
+
+// unpack writes the domain indices of packed key k into idx.
+func (m *Model) unpack(k uint64, idx []int) {
+	for i, v := range m.Vars {
+		idx[i] = int(k / m.stride[i] % uint64(len(v.Values)))
+	}
+}
+
+// addState appends a new state with packed key k and indices idx.
+func (m *Model) addState(k uint64, idx []int) int {
 	id := len(m.States)
-	cp := make([]int, len(idx))
-	copy(cp, idx)
-	m.States = append(m.States, State{Idx: cp})
+	m.States = append(m.States, State{Idx: idx})
+	m.stateKeys = append(m.stateKeys, k)
 	m.stateID[k] = id
 	return id
 }
 
+// internState returns the state's ID, creating it if new.
+func (m *Model) internState(idx []int) int {
+	k := m.pack(idx)
+	if id, ok := m.stateID[k]; ok {
+		return id
+	}
+	return m.addState(k, slices.Clone(idx))
+}
+
+// stateOf returns the ID of the state with packed key k. Build and
+// Union enumerate the full product first, so every key their
+// transitions reach is present.
+func (m *Model) stateOf(k uint64) int { return m.stateID[k] }
+
 // maxStates bounds state enumeration; the paper's apps stay under 200
-// states after reduction.
-const maxStates = 1 << 17
+// states after reduction. State IDs of extracted models therefore fit
+// in stateBits bits.
+const (
+	stateBits = 17
+	maxStates = 1 << stateBits
+)
 
 // numericLevels is the discretisation used for the before-reduction
 // count (batteries and power meters report ~100 levels, the paper's

@@ -17,11 +17,7 @@ import (
 // duplicate keys are rejected. States and transitions are added with
 // AddState and AddTransition.
 func NewSynthetic(vars []*Var) (*Model, error) {
-	m := &Model{
-		varIdx:   map[string]int{},
-		stateIdx: map[string]bool{},
-		stateID:  map[string]int{},
-	}
+	m := &Model{varIdx: map[string]int{}}
 	for _, v := range vars {
 		if v.Key == "" {
 			return nil, fmt.Errorf("statemodel: synthetic variable with empty key")
@@ -34,6 +30,9 @@ func NewSynthetic(vars []*Var) (*Model, error) {
 		}
 		m.varIdx[v.Key] = len(m.Vars)
 		m.Vars = append(m.Vars, v)
+	}
+	if err := m.initPacking(0); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -18,10 +18,7 @@ import (
 // structurally from the already-extracted models, which is what §6.3
 // benchmarks (4±2.1 s for 30 interacting apps in the paper's setup).
 func Union(models ...*Model) (*Model, error) {
-	u := &Model{
-		varIdx:  map[string]int{},
-		stateID: map[string]int{},
-	}
+	u := &Model{varIdx: map[string]int{}}
 	// Merge variables by key (line 1: states are tuples of attribute
 	// values with duplicate devices' attributes removed).
 	for _, in := range models {
@@ -53,7 +50,7 @@ func Union(models ...*Model) (*Model, error) {
 
 	// Add transitions (lines 2-12).
 	appOffset := 0
-	seen := map[edgeKey]bool{}
+	es := newEdgeSet()
 	for _, in := range models {
 		// proj[i] is the union index of input variable i.
 		proj := make([]int, len(in.Vars))
@@ -63,6 +60,15 @@ func Union(models ...*Model) (*Model, error) {
 		for _, t := range in.Transitions {
 			from := in.States[t.From]
 			to := in.States[t.To]
+			// Moving a union state from v to u changes only the input
+			// model's variables: a fixed packed-key offset.
+			var delta uint64
+			for i, uj := range proj {
+				delta += uint64(to.Idx[i])*u.stride[uj] - uint64(from.Idx[i])*u.stride[uj]
+			}
+			nt := t
+			nt.App += appOffset
+			p := es.proto(nt)
 			// V' = union states containing v (line 5): those agreeing
 			// with `from` on the input model's variables.
 			for s := range u.States {
@@ -76,26 +82,12 @@ func Union(models ...*Model) (*Model, error) {
 				if !agree {
 					continue
 				}
-				idx := make([]int, len(u.Vars))
-				copy(idx, u.States[s].Idx)
-				for i, uj := range proj {
-					idx[uj] = to.Idx[i]
-				}
-				toID := u.internState(idx)
-				nt := Transition{
-					From: s, To: toID, Event: t.Event, Guard: t.Guard,
-					App: appOffset + t.App, Handler: t.Handler, ActionsSig: t.ActionsSig,
-				}
-				k := edgeKey{from: s, to: toID, label: nt.Label(), app: nt.App}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				u.Transitions = append(u.Transitions, nt)
+				es.add(s, u.stateOf(u.stateKeys[s]+delta), p)
 			}
 		}
 		appOffset += len(in.Apps)
 	}
+	u.Transitions = es.transitions()
 	u.detectNondeterminism()
 	return u, nil
 }
