@@ -13,7 +13,7 @@
 //	                              # (default 1,4,8), write BENCH_parallel.json
 //	soteria-bench -bdd-bench      # sweep synthetic models (default 10^3..10^6
 //	                              # states) through explicit vs BDD engines,
-//	                              # old vs new kernel, write BENCH_bdd.json
+//	                              # write BENCH_bdd.json
 //	soteria-bench -obs-bench      # measure span-tracing overhead (off vs on)
 //	                              # on a full analysis, write BENCH_obs.json,
 //	                              # fail if the median overhead exceeds 3%
@@ -51,7 +51,7 @@ func main() {
 	parallelBench := flag.Bool("parallel-bench", false, "benchmark a sequential vs parallel market audit and write BENCH_parallel.json")
 	benchOut := flag.String("parallel-bench-out", "BENCH_parallel.json", "output path for -parallel-bench")
 	benchProcs := flag.String("parallel-bench-procs", "1,4,8", "comma-separated GOMAXPROCS settings to sweep in -parallel-bench")
-	bddBench := flag.Bool("bdd-bench", false, "benchmark explicit vs BDD engines (old vs new kernel) on synthetic models and write BENCH_bdd.json")
+	bddBench := flag.Bool("bdd-bench", false, "benchmark explicit vs BDD engines on synthetic models and write BENCH_bdd.json")
 	bddBenchOut := flag.String("bdd-bench-out", "BENCH_bdd.json", "output path for -bdd-bench")
 	bddBenchSizes := flag.String("bdd-bench-sizes", "1000,10000,100000,1000000", "comma-separated approximate state counts to sweep in -bdd-bench")
 	obsBench := flag.Bool("obs-bench", false, "measure span-tracing overhead on a full analysis and write BENCH_obs.json")
@@ -334,7 +334,7 @@ func runParallelBench(procs, out string) error {
 	return nil
 }
 
-// bddKernelPoint is one kernel's measurement at one model size:
+// bddKernelPoint is the BDD engine's measurement at one model size:
 // wall time for the full symbolic check (encode + fixpoints), the
 // per-operation cost (wall / ITE-cache lookups, the kernel's unit of
 // work), and the kernel's table statistics at the end of the run.
@@ -342,9 +342,9 @@ type bddKernelPoint struct {
 	WallMS         float64 `json:"wall_ms"`
 	NsPerOp        float64 `json:"ns_per_op"`
 	Nodes          int     `json:"nodes"`
-	UniqueCapacity int     `json:"unique_capacity,omitempty"`
-	UniqueLoad     float64 `json:"unique_load,omitempty"`
-	Rehashes       int     `json:"rehashes,omitempty"`
+	UniqueCapacity int     `json:"unique_capacity"`
+	UniqueLoad     float64 `json:"unique_load"`
+	Rehashes       int     `json:"rehashes"`
 	ITELookups     uint64  `json:"ite_lookups"`
 	ITEHitRate     float64 `json:"ite_hit_rate"`
 	OpLookups      uint64  `json:"op_lookups"`
@@ -353,18 +353,14 @@ type bddKernelPoint struct {
 
 // bddBenchPoint is one model size in the -bdd-bench sweep: the
 // collapse model's actual state count, explicit-engine wall time, and
-// the new (open-addressed) vs legacy (map-based) kernel measurements
-// for the identical symbolic workload. Agree reports that all three
-// engines returned the same verdict and satisfaction set.
+// the BDD engine's measurement for the same check. Agree reports that
+// both engines returned the same verdict and satisfaction set.
 type bddBenchPoint struct {
 	RequestedStates int            `json:"requested_states"`
 	States          int            `json:"states"`
 	Domain          int            `json:"domain"`
 	ExplicitMS      float64        `json:"explicit_ms"`
-	NewKernel       bddKernelPoint `json:"new_kernel"`
-	LegacyKernel    bddKernelPoint `json:"legacy_kernel"`
-	SpeedupWall     float64        `json:"speedup_wall"`
-	SpeedupNsPerOp  float64        `json:"speedup_ns_per_op"`
+	BDD             bddKernelPoint `json:"bdd"`
 	Agree           bool           `json:"agree"`
 }
 
@@ -377,15 +373,12 @@ type bddBenchResult struct {
 }
 
 // runBDDBench sweeps synthetic collapse models (statemodel.
-// NewSyntheticCollapse, d² states with d = round(√N)) through three
-// engines — the explicit-state checker, the symbolic engine over the
-// open-addressed kernel, and the same engine over the retained
-// map-based legacy kernel — and writes BENCH_bdd.json. The formula is
-// EF(dev0.attr=v0 ∧ dev1.attr=v0), a backward-reachability fixpoint
-// that converges in ~log₂(N) iterations, so the symbolic engines are
-// exercised at 10⁶ states in seconds. The NEW kernel always runs
-// before the legacy one: any cache/allocator warmth favors whichever
-// runs second, so the recorded speedup is conservative.
+// NewSyntheticCollapse, d² states with d = round(√N)) through the
+// explicit-state checker and the symbolic BDD engine and writes
+// BENCH_bdd.json. The formula is EF(dev0.attr=v0 ∧ dev1.attr=v0), a
+// backward-reachability fixpoint that converges in ~log₂(N)
+// iterations, so the symbolic engine is exercised at 10⁶ states in
+// seconds.
 func runBDDBench(sizes, out string) error {
 	f := ctl.EF{X: ctl.And{L: ctl.Prop{Name: "dev0.attr=v0"}, R: ctl.Prop{Name: "dev1.attr=v0"}}}
 	res := bddBenchResult{Formula: f.String(), HostCPUs: runtime.NumCPU()}
@@ -400,7 +393,6 @@ func runBDDBench(sizes, out string) error {
 		k := kripke.FromModel(m)
 		_ = modelcheck.Check(k, f)
 		_ = symbolic.New(k).Check(f)
-		_ = symbolic.NewWithKernel(k, nil, func(n int) bdd.Kernel { return bdd.NewLegacy(n) }).Check(f)
 		return nil
 	}(); err != nil {
 		return fmt.Errorf("warmup: %w", err)
@@ -427,35 +419,21 @@ func runBDDBench(sizes, out string) error {
 
 		t1 := time.Now()
 		eng := symbolic.New(k)
-		newRes := eng.Check(f)
-		newDur := time.Since(t1)
-		newPt := kernelPoint(newDur, eng.KernelStats())
-
-		t2 := time.Now()
-		leg := symbolic.NewWithKernel(k, nil, func(n int) bdd.Kernel { return bdd.NewLegacy(n) })
-		legRes := leg.Check(f)
-		legDur := time.Since(t2)
-		legPt := kernelPoint(legDur, leg.KernelStats())
+		sym := eng.Check(f)
+		symPt := kernelPoint(time.Since(t1), eng.KernelStats())
 
 		pt := bddBenchPoint{
 			RequestedStates: want,
 			States:          k.N,
 			Domain:          d,
 			ExplicitMS:      float64(expDur.Microseconds()) / 1000,
-			NewKernel:       newPt,
-			LegacyKernel:    legPt,
-			SpeedupWall:     legDur.Seconds() / newDur.Seconds(),
-			Agree: exp.Holds == newRes.Holds && exp.Holds == legRes.Holds &&
-				sameSat(exp.Sat, newRes.Sat) && sameSat(exp.Sat, legRes.Sat),
-		}
-		if newPt.NsPerOp > 0 {
-			pt.SpeedupNsPerOp = legPt.NsPerOp / newPt.NsPerOp
+			BDD:             symPt,
+			Agree:           exp.Holds == sym.Holds && sameSat(exp.Sat, sym.Sat),
 		}
 		res.Points = append(res.Points, pt)
-		fmt.Printf("bdd bench @%d states (d=%d): explicit %.1fms, new kernel %.1fms (%.1f ns/op, %d nodes, load %.2f, ite hit %.2f), legacy %.1fms (%.1f ns/op), speedup %.2fx wall / %.2fx ns/op, agree: %t\n",
+		fmt.Printf("bdd bench @%d states (d=%d): explicit %.1fms, bdd %.1fms (%.1f ns/op, %d nodes, load %.2f, ite hit %.2f), agree: %t\n",
 			pt.States, d, pt.ExplicitMS,
-			newPt.WallMS, newPt.NsPerOp, newPt.Nodes, newPt.UniqueLoad, newPt.ITEHitRate,
-			legPt.WallMS, legPt.NsPerOp, pt.SpeedupWall, pt.SpeedupNsPerOp, pt.Agree)
+			symPt.WallMS, symPt.NsPerOp, symPt.Nodes, symPt.UniqueLoad, symPt.ITEHitRate, pt.Agree)
 	}
 
 	fo, err := os.Create(out)

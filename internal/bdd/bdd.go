@@ -17,10 +17,6 @@
 //     keyed by (op, f, g, varsID) with interned variable-set cubes and
 //     shift maps, so fixpoint loops (symbolic preimages) reuse results
 //     across calls instead of allocating a fresh cache per call.
-//
-// The previous map-based kernel is retained as LegacyManager (see
-// legacy.go) as the reference implementation for differential tests
-// and old-vs-new benchmarks.
 package bdd
 
 import (
@@ -60,8 +56,8 @@ type Stats struct {
 	// Nodes is the number of allocated nodes, including the two
 	// terminals.
 	Nodes int
-	// UniqueCapacity is the unique table's slot count (0 for the
-	// legacy map-based kernel, which has no fixed capacity).
+	// UniqueCapacity is the unique table's slot count (a power of
+	// two).
 	UniqueCapacity int
 	// UniqueLoad is the unique table's load factor (entries/slots).
 	UniqueLoad float64
@@ -84,38 +80,6 @@ func rate(hits, lookups uint64) float64 {
 		return 0
 	}
 	return float64(hits) / float64(lookups)
-}
-
-// Kernel is the operation surface shared by the open-addressed Manager
-// and the retained map-based LegacyManager. The symbolic engine, the
-// differential tests, and the old-vs-new benchmarks are written
-// against it so the two kernels run identical workloads.
-type Kernel interface {
-	NumVars() int
-	Size() int
-	SetBudget(*guard.Budget)
-	Stats() Stats
-	Var(v int) Ref
-	NVar(v int) Ref
-	Ite(f, g, h Ref) Ref
-	And(f, g Ref) Ref
-	Or(f, g Ref) Ref
-	Not(f Ref) Ref
-	Xor(f, g Ref) Ref
-	Implies(f, g Ref) Ref
-	AndN(fs ...Ref) Ref
-	OrN(fs ...Ref) Ref
-	InternVarSet(vars map[int]bool) VarSet
-	InternShift(shift map[int]int) Shift
-	ExistsSet(f Ref, vs VarSet) Ref
-	AndExistsSet(f, g Ref, vs VarSet) Ref
-	RenameShift(f Ref, sh Shift) Ref
-	Exists(f Ref, vars map[int]bool) Ref
-	AndExists(f, g Ref, vars map[int]bool) Ref
-	Rename(f Ref, shift map[int]int) Ref
-	Eval(f Ref, assign []bool) bool
-	SatCount(f Ref) float64
-	AnySat(f Ref) []bool
 }
 
 // iteEntry is one direct-mapped computed-table slot; f == False marks
@@ -212,9 +176,6 @@ func New(nvars int) *Manager {
 	)
 	return m
 }
-
-// NumVars returns the number of variables.
-func (m *Manager) NumVars() int { return m.nvars }
 
 // Size returns the number of allocated nodes (including terminals).
 func (m *Manager) Size() int { return len(m.nodes) }
@@ -420,29 +381,11 @@ func (m *Manager) Xor(f, g Ref) Ref { return m.Ite(f, m.Not(g), g) }
 // Implies computes f → g.
 func (m *Manager) Implies(f, g Ref) Ref { return m.Ite(f, g, True) }
 
-// AndN conjoins several BDDs.
-func (m *Manager) AndN(fs ...Ref) Ref {
-	r := True
-	for _, f := range fs {
-		r = m.And(r, f)
-	}
-	return r
-}
-
-// OrN disjoins several BDDs.
-func (m *Manager) OrN(fs ...Ref) Ref {
-	r := False
-	for _, f := range fs {
-		r = m.Or(r, f)
-	}
-	return r
-}
-
 // ---------------------------------------------------------------------------
 // Interned variable sets and shift maps
 
 // InternVarSet interns a set of variable levels for the Set-suffixed
-// quantification entry points. Levels outside [0, NumVars) can never
+// quantification entry points. Levels outside [0, nvars) can never
 // label a node and are dropped. Interning is content-based: equal sets
 // return equal handles, so computed-table entries keyed by the handle
 // survive across calls.
@@ -472,7 +415,7 @@ func (m *Manager) InternVarSet(vars map[int]bool) VarSet {
 // InternShift interns a level-renaming map (old level → new level) for
 // RenameShift. The mapping must be monotone on the mapped levels —
 // sorted by old level, the new levels must be strictly increasing —
-// and every level must lie in [0, NumVars); InternShift panics
+// and every level must lie in [0, nvars); InternShift panics
 // otherwise. (A mapping that passes this check can still cross an
 // unmapped level occurring in a particular BDD; RenameShift checks
 // per-node and fails loudly there too.)
@@ -728,23 +671,4 @@ func (m *Manager) SatCount(f Ref) float64 {
 // (float64's exponent range) instead of looping n multiplications.
 func pow2(n int) float64 {
 	return math.Ldexp(1, n)
-}
-
-// AnySat returns one satisfying assignment of f (nil when f is
-// unsatisfiable). Unconstrained variables are reported false.
-func (m *Manager) AnySat(f Ref) []bool {
-	if f == False {
-		return nil
-	}
-	assign := make([]bool, m.nvars)
-	for f != True {
-		n := m.nodes[f]
-		if n.hi != False {
-			assign[n.level] = true
-			f = n.hi
-		} else {
-			f = n.lo
-		}
-	}
-	return assign
 }

@@ -137,18 +137,6 @@ func TestSatCount(t *testing.T) {
 	}
 }
 
-func TestAnySat(t *testing.T) {
-	m := New(3)
-	f := m.And(m.Var(0), m.NVar(2))
-	a := m.AnySat(f)
-	if a == nil || !m.Eval(f, a) {
-		t.Errorf("AnySat = %v", a)
-	}
-	if m.AnySat(False) != nil {
-		t.Error("AnySat(false) should be nil")
-	}
-}
-
 func TestSharingKeepsSizeSmall(t *testing.T) {
 	// n-bit parity has linear BDD size; a naive representation is
 	// exponential.

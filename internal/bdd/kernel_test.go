@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -8,8 +9,8 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Rename monotonicity (regression: the old kernel silently produced a
-// non-canonical BDD on crossing shift maps).
+// Rename monotonicity (regression: an earlier map-based kernel silently
+// produced a non-canonical BDD on crossing shift maps).
 
 func TestRenameCrossingMappedLevelsPanics(t *testing.T) {
 	m := New(4)
@@ -90,12 +91,6 @@ func TestSatCountSaturatesAtHighVarCounts(t *testing.T) {
 	}
 	if n := m.SatCount(f); n != math.Ldexp(1, 1000) {
 		t.Errorf("SatCount(100-var conjunction) = %g, want 2^1000", n)
-	}
-
-	// The legacy kernel shares pow2 and must saturate identically.
-	lm := NewLegacy(nvars)
-	if n := lm.SatCount(True); !math.IsInf(n, 1) {
-		t.Errorf("legacy SatCount(true) over %d vars = %g, want +Inf", nvars, n)
 	}
 }
 
@@ -212,93 +207,156 @@ func TestComputedTableEviction(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: the open-addressed kernel against the retained legacy
-// map-based kernel, on identical random workloads.
+// Reference semantics: every kernel operation against brute-force truth
+// tables over all 2^8 assignments.
 
-func TestNewVsLegacyDifferential(t *testing.T) {
-	const bits = 8
-	nm := New(bits)
-	lm := NewLegacy(bits)
-	rng := rand.New(rand.NewSource(7))
+const ttBits = 8
 
-	type pair struct{ n, l Ref }
-	pool := []pair{{True, True}, {False, False}}
-	for v := 0; v < bits; v++ {
-		pool = append(pool, pair{nm.Var(v), lm.Var(v)})
+// truthTable holds a function's value under every assignment; index
+// bit b is variable b's value.
+type truthTable [1 << ttBits]bool
+
+// tt tabulates f over every assignment.
+func tt(f func(a int) bool) (t truthTable) {
+	for a := range t {
+		t[a] = f(a)
 	}
-	pick := func() pair { return pool[rng.Intn(len(pool))] }
-	for i := 0; i < 400; i++ {
-		a, b := pick(), pick()
-		var p pair
-		switch rng.Intn(6) {
-		case 0:
-			p = pair{nm.And(a.n, b.n), lm.And(a.l, b.l)}
-		case 1:
-			p = pair{nm.Or(a.n, b.n), lm.Or(a.l, b.l)}
-		case 2:
-			p = pair{nm.Xor(a.n, b.n), lm.Xor(a.l, b.l)}
-		case 3:
-			p = pair{nm.Not(a.n), lm.Not(a.l)}
-		case 4:
-			p = pair{nm.Implies(a.n, b.n), lm.Implies(a.l, b.l)}
-		case 5:
-			c := pick()
-			p = pair{nm.Ite(a.n, b.n, c.n), lm.Ite(a.l, b.l, c.l)}
-		}
-		pool = append(pool, p)
-	}
+	return t
+}
 
-	assign := make([]bool, bits)
-	for mask := 0; mask < 1<<bits; mask++ {
-		for b := 0; b < bits; b++ {
-			assign[b] = mask&(1<<b) != 0
-		}
-		for i, p := range pool {
-			if nm.Eval(p.n, assign) != lm.Eval(p.l, assign) {
-				t.Fatalf("op %d: kernels disagree under assignment %0*b", i, bits, mask)
+// ttExists quantifies the variables in mask out of x.
+func ttExists(x truthTable, mask int) (t truthTable) {
+	for a := range t {
+		base := a &^ mask
+		// Enumerate every assignment to the masked variables.
+		for sub := mask; ; sub = (sub - 1) & mask {
+			if x[base|sub] {
+				t[a] = true
+				break
+			}
+			if sub == 0 {
+				break
 			}
 		}
 	}
-	for i, p := range pool {
-		if nm.SatCount(p.n) != lm.SatCount(p.l) {
-			t.Fatalf("op %d: SatCount disagrees (%g vs %g)", i, nm.SatCount(p.n), lm.SatCount(p.l))
+	return t
+}
+
+// ttShiftUp renames each variable in mask to the next level up: the
+// result reads variable v+1 where x read variable v. x must not depend
+// on the target levels.
+func ttShiftUp(x truthTable, mask int) (t truthTable) {
+	for a := range t {
+		src := 0
+		for v := 0; v < ttBits; v++ {
+			if mask&(1<<v) != 0 && a&(1<<(v+1)) != 0 {
+				src |= 1 << v
+			}
 		}
+		t[a] = x[src]
+	}
+	return t
+}
+
+func (t *truthTable) count() float64 {
+	n := 0
+	for _, b := range t {
+		if b {
+			n++
+		}
+	}
+	return float64(n)
+}
+
+// checkAgainstTable requires r to evaluate to the table under every
+// assignment and SatCount(r) to equal the table's popcount.
+func checkAgainstTable(t *testing.T, m *Manager, what string, r Ref, want *truthTable) {
+	t.Helper()
+	assign := make([]bool, ttBits)
+	for a := range want {
+		for b := 0; b < ttBits; b++ {
+			assign[b] = a&(1<<b) != 0
+		}
+		if m.Eval(r, assign) != want[a] {
+			t.Fatalf("%s: Eval = %v under assignment %0*b, want %v", what, !want[a], ttBits, a, want[a])
+		}
+	}
+	if got := m.SatCount(r); got != want.count() {
+		t.Fatalf("%s: SatCount = %g, want %g", what, got, want.count())
+	}
+}
+
+func TestManagerMatchesTruthTables(t *testing.T) {
+	m := New(ttBits)
+	rng := rand.New(rand.NewSource(7))
+
+	type entry struct {
+		r  Ref
+		tt truthTable
+	}
+	pool := []entry{
+		{True, tt(func(int) bool { return true })},
+		{False, tt(func(int) bool { return false })},
+	}
+	for v := 0; v < ttBits; v++ {
+		pool = append(pool, entry{m.Var(v), tt(func(a int) bool { return a&(1<<v) != 0 })})
+	}
+	pick := func() entry { return pool[rng.Intn(len(pool))] }
+	for i := 0; i < 400; i++ {
+		a, b := pick(), pick()
+		var e entry
+		switch rng.Intn(6) {
+		case 0:
+			e = entry{m.And(a.r, b.r), tt(func(i int) bool { return a.tt[i] && b.tt[i] })}
+		case 1:
+			e = entry{m.Or(a.r, b.r), tt(func(i int) bool { return a.tt[i] || b.tt[i] })}
+		case 2:
+			e = entry{m.Xor(a.r, b.r), tt(func(i int) bool { return a.tt[i] != b.tt[i] })}
+		case 3:
+			e = entry{m.Not(a.r), tt(func(i int) bool { return !a.tt[i] })}
+		case 4:
+			e = entry{m.Implies(a.r, b.r), tt(func(i int) bool { return !a.tt[i] || b.tt[i] })}
+		case 5:
+			c := pick()
+			e = entry{m.Ite(a.r, b.r, c.r), tt(func(i int) bool {
+				if a.tt[i] {
+					return b.tt[i]
+				}
+				return c.tt[i]
+			})}
+		}
+		pool = append(pool, e)
+	}
+	for i, e := range pool {
+		checkAgainstTable(t, m, fmt.Sprintf("pool[%d]", i), e.r, &e.tt)
 	}
 
 	// Quantification and (monotone) renaming on a sample of the pool.
 	evens := map[int]bool{}
+	odds := map[int]bool{}
 	shift := map[int]int{}
-	for v := 0; v < bits; v += 2 {
-		evens[v] = true
+	evenMask, oddMask := 0, 0
+	for v := 0; v < ttBits; v += 2 {
+		evens[v], odds[v+1] = true, true
 		shift[v] = v + 1
+		evenMask |= 1 << v
+		oddMask |= 1 << (v + 1)
 	}
 	for i := 0; i < 50; i++ {
-		p := pool[rng.Intn(len(pool))]
-		ne, le := nm.Exists(p.n, evens), lm.Exists(p.l, evens)
-		for mask := 0; mask < 1<<bits; mask++ {
-			for b := 0; b < bits; b++ {
-				assign[b] = mask&(1<<b) != 0
-			}
-			if nm.Eval(ne, assign) != lm.Eval(le, assign) {
-				t.Fatalf("Exists disagrees on pool[%d]", i)
-			}
-		}
-		q := pool[rng.Intn(len(pool))]
-		nae, lae := nm.AndExists(p.n, q.n, evens), lm.AndExists(p.l, q.l, evens)
-		if nm.SatCount(nae) != lm.SatCount(lae) {
-			t.Fatalf("AndExists SatCount disagrees on pool[%d]", i)
-		}
+		p := pick()
+		ex := ttExists(p.tt, evenMask)
+		checkAgainstTable(t, m, fmt.Sprintf("sample %d: Exists", i), m.Exists(p.r, evens), &ex)
+
+		q := pick()
+		aex := ttExists(tt(func(i int) bool { return p.tt[i] && q.tt[i] }), evenMask)
+		checkAgainstTable(t, m, fmt.Sprintf("sample %d: AndExists", i), m.AndExists(p.r, q.r, evens), &aex)
+
 		// Renaming evens up by one is monotone only for BDDs not using
 		// the odd levels; project them away first.
-		odds := map[int]bool{}
-		for v := 1; v < bits; v += 2 {
-			odds[v] = true
-		}
-		pn, pl := nm.Exists(p.n, odds), lm.Exists(p.l, odds)
-		rn, rl := nm.Rename(pn, shift), lm.Rename(pl, shift)
-		if nm.SatCount(rn) != lm.SatCount(rl) {
-			t.Fatalf("Rename SatCount disagrees on pool[%d]", i)
-		}
+		proj := ttExists(p.tt, oddMask)
+		checkAgainstTable(t, m, fmt.Sprintf("sample %d: Exists odds", i), m.Exists(p.r, odds), &proj)
+		ren := ttShiftUp(proj, evenMask)
+		checkAgainstTable(t, m, fmt.Sprintf("sample %d: Rename", i), m.Rename(m.Exists(p.r, odds), shift), &ren)
 	}
 }
 

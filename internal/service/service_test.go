@@ -284,16 +284,23 @@ func TestHealthAndMetrics(t *testing.T) {
 	}
 	postJSON(t, ts.URL+"/v1/analyze", map[string]any{"name": "smoke", "source": paperapps.SmokeAlarm})
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	defer mresp.Body.Close()
-	raw, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatalf("reading metrics: %v", err)
-	}
-	text := string(raw)
+	// The response can arrive before the worker decrements its inflight
+	// gauge (runJob closes the job's done channel first), so scrape
+	// until the worker has gone idle.
+	var text string
+	waitFor(t, "soteriad_inflight_jobs 0", func() bool {
+		mresp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatalf("metrics: %v", err)
+		}
+		defer mresp.Body.Close()
+		raw, err := io.ReadAll(mresp.Body)
+		if err != nil {
+			t.Fatalf("reading metrics: %v", err)
+		}
+		text = string(raw)
+		return strings.Contains(text, "soteriad_inflight_jobs 0")
+	})
 	for _, want := range []string{
 		"soteriad_queue_depth 0",
 		"soteriad_inflight_jobs 0",

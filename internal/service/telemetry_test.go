@@ -8,31 +8,39 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"testing"
-
 	"sync"
+	"testing"
 
 	"github.com/soteria-analysis/soteria/internal/obs"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 )
 
-// syncWriter serializes log writes from the worker and HTTP goroutines.
+// syncWriter serializes log writes from the worker and HTTP goroutines
+// into an in-memory buffer.
 type syncWriter struct {
-	mu sync.Mutex
-	w  io.Writer
+	mu  sync.Mutex
+	buf bytes.Buffer
 }
 
 func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.w.Write(p)
+	return s.buf.Write(p)
+}
+
+// String returns everything written so far, read under the writer's
+// lock so it does not race a concurrent log line.
+func (s *syncWriter) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.String()
 }
 
 // TestMetricsExposition is the exposition-format acceptance test:
 // after at least one job, GET /metrics must be valid Prometheus text
 // format (one HELP/TYPE pair per family, no duplicate samples,
 // cumulative histogram buckets ending at +Inf) and must expose the
-// latency histograms, BDD-kernel stats, and memo hit rates.
+// latency histograms and memo hit rates.
 func TestMetricsExposition(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
@@ -204,8 +212,8 @@ func TestTimingsEmbeddedInRecord(t *testing.T) {
 // TestTraceInLogLines: every log line about a job carries its trace
 // ID, and a client-supplied X-Soteria-Trace is adopted verbatim.
 func TestTraceInLogLines(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&syncWriter{w: &buf}, nil))
+	var logw syncWriter
+	logger := slog.New(slog.NewTextHandler(&logw, nil))
 	_, ts := newTestServer(t, Config{Workers: 1, Logger: logger})
 
 	const trace = "client-trace-abc123"
@@ -226,7 +234,14 @@ func TestTraceInLogLines(t *testing.T) {
 		t.Fatalf("server did not adopt client trace: got %q, want %q", got, trace)
 	}
 
-	logs := buf.String()
+	// The worker logs "job finished" after it has released the waiting
+	// request, and the access log line follows the response too, so the
+	// client can read its response before either line is written.
+	var logs string
+	waitFor(t, "job-finished and http-request log lines", func() bool {
+		logs = logw.String()
+		return strings.Contains(logs, "job finished") && strings.Contains(logs, "http request")
+	})
 	finished := 0
 	for _, line := range strings.Split(logs, "\n") {
 		if strings.Contains(line, "job finished") {

@@ -4,10 +4,6 @@
 // proposition sets are BDDs; CTL operators are symbolic fixpoints
 // using the relational product for preimages.
 //
-// The engine is written against the bdd.Kernel interface so the same
-// encoding and fixpoints can run over the open-addressed Manager (the
-// default) or the retained map-based LegacyManager — that is how the
-// -bdd-bench sweep measures old vs new kernels on identical workloads.
 // The variable-set cube for next-state quantification and the
 // current→next shift map are interned once at construction, so the
 // preimage loop performs no per-iteration map allocation.
@@ -23,7 +19,7 @@ import (
 // Engine holds the symbolic encoding of a Kripke structure.
 type Engine struct {
 	K     *kripke.Structure
-	m     bdd.Kernel
+	m     *bdd.Manager
 	bits  int
 	trans bdd.Ref
 	init  bdd.Ref
@@ -53,19 +49,12 @@ func New(k *kripke.Structure) *Engine {
 // cooperatively check the wall-clock deadline. A nil budget disables
 // all checks.
 func NewBudget(k *kripke.Structure, b *guard.Budget) *Engine {
-	return NewWithKernel(k, b, func(nvars int) bdd.Kernel { return bdd.New(nvars) })
-}
-
-// NewWithKernel is NewBudget over a caller-chosen BDD kernel; newKernel
-// receives the variable count (2 × state bits). The benchmarks use it
-// to run the engine over bdd.NewLegacy for old-vs-new comparisons.
-func NewWithKernel(k *kripke.Structure, b *guard.Budget, newKernel func(nvars int) bdd.Kernel) *Engine {
 	bits := 1
 	for (1 << bits) < k.N {
 		bits++
 	}
 	e := &Engine{
-		K: k, bits: bits, m: newKernel(2 * bits),
+		K: k, bits: bits, m: bdd.New(2 * bits),
 		props: map[string]bdd.Ref{},
 		b:     b,
 	}
