@@ -22,7 +22,6 @@
 //	-taint     check only the taint properties (T.1–T.6)
 //	-properties IDs check only the listed property IDs (comma-separated,
 //	           e.g. "P.10,T.2"; "T.*" selects the whole taint family)
-//	-parallel N check properties with N concurrent workers
 //	-timeout D abort the analysis after the wall-clock duration D
 //	-max-states N cap state-model enumeration at N states
 //	-json      emit the analysis result as JSON
@@ -79,7 +78,6 @@ func main() {
 		propIDs   = flag.String("properties", "", "check only these comma-separated property IDs (e.g. \"P.10,T.2\"; \"T.*\" selects the taint family)")
 		list      = flag.Bool("list", false, "list the property catalogue and exit")
 		jsonOut   = flag.Bool("json", false, "emit the analysis result as JSON")
-		parallel  = flag.Int("parallel", 1, "check properties with this many concurrent workers (results are identical at any setting)")
 		timeout   = flag.Duration("timeout", 0, "abort the analysis after this wall-clock duration (0 = no limit)")
 		maxStates = flag.Int("max-states", 0, "cap state-model enumeration at this many states (0 = no limit)")
 		remote    = flag.String("remote", "", "analyze via the soteriad instance at this base URL instead of locally")
@@ -121,7 +119,6 @@ func main() {
 			specific:      *specific,
 			taint:         *taintOnly,
 			properties:    splitIDs(*propIDs),
-			parallel:      *parallel,
 			timeout:       *timeout,
 			maxStates:     *maxStates,
 			jsonOut:       *jsonOut,
@@ -155,9 +152,6 @@ func main() {
 	}
 	if ids := splitIDs(*propIDs); len(ids) > 0 {
 		opts = append(opts, soteria.WithProperties(ids...))
-	}
-	if *parallel > 1 {
-		opts = append(opts, soteria.WithParallel(*parallel))
 	}
 	if *timeout > 0 || *maxStates > 0 {
 		opts = append(opts, soteria.WithLimits(soteria.Limits{

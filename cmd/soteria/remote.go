@@ -22,7 +22,6 @@ type remoteRun struct {
 	specific      bool
 	taint         bool
 	properties    []string
-	parallel      int
 	timeout       time.Duration
 	maxStates     int
 	jsonOut       bool
@@ -49,9 +48,6 @@ func runRemote(run remoteRun) int {
 		opts.General = &run.general
 		opts.AppSpecific = &run.specific
 		opts.Taint = &run.taint
-	}
-	if run.parallel > 1 {
-		opts.Parallel = run.parallel
 	}
 	if run.timeout > 0 {
 		opts.TimeoutMS = run.timeout.Milliseconds()

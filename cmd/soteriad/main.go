@@ -18,7 +18,6 @@
 //	-workers N      concurrent analysis workers (default GOMAXPROCS)
 //	-queue N        queued-job bound before 429 backpressure (default 64)
 //	-job-timeout D  wall-clock ceiling per job (default 60s)
-//	-parallel N     property-check workers per analysis (default 1)
 //	-max-states N   per-job state-model cap (0 = unlimited)
 //	-max-body N     request body cap in bytes (default 8 MiB)
 //	-drain-timeout D grace period for in-flight jobs on SIGTERM (default 30s)
@@ -86,7 +85,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "concurrent analysis workers (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "queued-job bound before 429 backpressure")
 		jobTimeout   = flag.Duration("job-timeout", 60*time.Second, "wall-clock ceiling per job")
-		parallel     = flag.Int("parallel", 1, "property-check workers per analysis")
 		maxStates    = flag.Int("max-states", 0, "per-job state-model cap (0 = unlimited)")
 		maxBody      = flag.Int64("max-body", 8<<20, "request body cap in bytes")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")
@@ -126,7 +124,6 @@ func main() {
 		Workers:          *workers,
 		QueueDepth:       *queue,
 		JobTimeout:       *jobTimeout,
-		Parallel:         *parallel,
 		MaxBodyBytes:     *maxBody,
 		Limits:           soteria.Limits{MaxStates: *maxStates},
 		StoreDir:         *storeDir,

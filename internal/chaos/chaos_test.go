@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/soteria-analysis/soteria/internal/client"
+	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 	"github.com/soteria-analysis/soteria/internal/report"
 )
@@ -177,8 +178,9 @@ func variantApp(i int) client.App {
 
 // TestKillRestartLosesNoAcceptedJob is the acceptance-criteria test:
 // jobs acknowledged before a SIGKILL must all reach a terminal state
-// after restart, under their original IDs, and resubmissions with the
-// crash-era idempotency keys must be answered by those same jobs.
+// after restart, under their original IDs and options, and
+// resubmissions with the crash-era idempotency keys must be answered
+// by those same jobs.
 func TestKillRestartLosesNoAcceptedJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
@@ -221,7 +223,9 @@ func TestKillRestartLosesNoAcceptedJob(t *testing.T) {
 	c2 := chaosClient(t, d2.addr)
 
 	// Every accepted job is known (stable IDs — no 404) and reaches a
-	// terminal state; none may be lost.
+	// terminal state; none may be lost. Its content key is the one the
+	// submitted request hashes to, so a replayed job ran under the
+	// options it was accepted with.
 	for i, id := range ids {
 		j := waitTerminal(t, c2, ctx, id, 90*time.Second)
 		if j.Status != "done" {
@@ -229,6 +233,11 @@ func TestKillRestartLosesNoAcceptedJob(t *testing.T) {
 		}
 		if j.Result == nil || j.Result.Schema != report.Schema {
 			t.Fatalf("job %d (%s) has no valid record after restart", i, id)
+		}
+		app := variantApp(i)
+		want := core.AnalysisKey([]core.NamedSource{{Name: app.Name, Source: app.Source}}, core.DefaultOptions())
+		if j.Key != want {
+			t.Fatalf("job %d content key %s, want %s", i, j.Key, want)
 		}
 	}
 

@@ -150,7 +150,6 @@ type Options struct {
 	Properties  []string `json:"properties,omitempty"`
 	TimeoutMS   int64    `json:"timeout_ms,omitempty"`
 	MaxStates   int      `json:"max_states,omitempty"`
-	Parallel    int      `json:"parallel,omitempty"`
 }
 
 // Job is the wire form of a job's state, shared by submission

@@ -147,7 +147,7 @@ func (r *Ring) Shares() map[string]float64 {
 	if len(r.points) == 0 {
 		return out
 	}
-	const whole = float64(1 << 63) * 2 // 2^64 as float
+	const whole = float64(1<<63) * 2 // 2^64 as float
 	arc := make([]uint64, len(r.members))
 	// The arc ending at points[i] (exclusive of the previous point)
 	// belongs to points[i]'s member; the wrap-around arc from the last

@@ -39,8 +39,7 @@ type BatchResult struct {
 
 // BatchOptions configures a batch run.
 type BatchOptions struct {
-	// Options applies to every item (including per-item property
-	// parallelism via Options.Parallel).
+	// Options applies to every item.
 	Options
 	// Parallel bounds the number of items analyzed concurrently;
 	// 0 defaults to GOMAXPROCS, values below 2 run sequentially.

@@ -49,8 +49,6 @@ func SourceHash(s NamedSource) string {
 
 // AnalysisKey fingerprints an item's sources plus every option that
 // affects verdicts — the content address of an analysis result.
-// Parallel is deliberately excluded: parallel and sequential runs
-// produce identical analyses, so they share entries.
 func AnalysisKey(sources []NamedSource, o Options) string {
 	h := sha256.New()
 	for _, s := range sources {

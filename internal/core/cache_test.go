@@ -29,6 +29,11 @@ func TestAnalysisKeyOptionSensitivity(t *testing.T) {
 	if AnalysisKey(srcs, general) == key {
 		t.Fatal("property-family selection does not affect AnalysisKey")
 	}
+	noTaint := base
+	noTaint.Taint = false
+	if AnalysisKey(srcs, noTaint) == key {
+		t.Fatal("taint selection does not affect AnalysisKey")
+	}
 	filtered := base
 	filtered.PropertyIDs = []string{"P.1"}
 	if AnalysisKey(srcs, filtered) == key {
@@ -38,13 +43,6 @@ func TestAnalysisKeyOptionSensitivity(t *testing.T) {
 	limited.Limits.MaxStates = 7
 	if AnalysisKey(srcs, limited) == key {
 		t.Fatal("resource limits do not affect AnalysisKey")
-	}
-	// Parallelism must NOT affect the key: parallel and sequential runs
-	// produce identical verdicts, so they share a content address.
-	par := base
-	par.Parallel = 8
-	if AnalysisKey(srcs, par) != key {
-		t.Fatal("Parallel leaked into AnalysisKey")
 	}
 }
 

@@ -43,13 +43,6 @@ type Options struct {
 	// reflects the filter. Taint IDs (T.n, or the "T.*" wildcard)
 	// restrict the taint family the same way.
 	PropertyIDs []string
-	// Parallel is the number of concurrent property-check workers
-	// (values below 2 check sequentially). Workers share the Kripke
-	// structure read-only and construct per-worker engine state; the
-	// resource budget stays global across workers, and reports are
-	// merged in catalogue order, so results are identical to a
-	// sequential run.
-	Parallel int
 	// Limits bounds the run's resources; the zero value is unlimited.
 	Limits guard.Limits
 }
@@ -216,16 +209,12 @@ func AnalyzeAppsContext(ctx context.Context, opts Options, apps ...*ir.App) (*An
 			// reflects the filter. One subformula memo spans the whole
 			// sweep: the catalogue's formulas share subterms, and the
 			// memo lets the explicit engine compute each distinct
-			// subformula once per analysis (it is concurrency-safe, so
-			// parallel workers share it too).
+			// subformula once per analysis.
 			memo := modelcheck.NewMemo()
-			// The sweep span is passed to checkProperty directly (not via
-			// ctx) so parallel workers attach property spans to it without
-			// racing on the context's current-span slot.
 			csp := obs.Start(ctx, "check")
 			rep := properties.CheckAppSpecificOpts(a.Model, func(propID string, f ctl.Formula) properties.PropertyOutcome {
 				return checkProperty(a.Kripke, b, propID, f, memo, csp)
-			}, properties.SweepOptions{IDs: opts.PropertyIDs, Parallel: opts.Parallel})
+			}, properties.SweepOptions{IDs: opts.PropertyIDs})
 			ms := memo.Stats()
 			csp.SetInt("memo_lookups", int64(ms.Lookups))
 			csp.SetInt("memo_hits", int64(ms.Hits))
@@ -241,8 +230,7 @@ func AnalyzeAppsContext(ctx context.Context, opts Options, apps ...*ir.App) (*An
 		if opts.Taint && a.Model != nil {
 			// The taint family is evaluated over the symbolic-execution
 			// results the model already retains — no re-execution. It
-			// runs in the coordinating goroutine and sorts its flows, so
-			// parallel and sequential runs report identical bytes.
+			// sorts its flows, so every run reports identical bytes.
 			tsp := obs.Start(ctx, "check.taint")
 			terr := guard.Run("properties.taint", func() error {
 				faultinject.Hit(faultinject.SiteTaint)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -50,36 +49,6 @@ func TestParallelPropertyFilterDispatch(t *testing.T) {
 	}
 	if len(a.Violations) == 0 {
 		t.Error("P.10 should be flagged")
-	}
-}
-
-// TestParallelPropertySweepIdentical runs the same analysis
-// sequentially and with property workers and requires identical
-// violations, Checked lists, and verdict ordering.
-func TestParallelPropertySweepIdentical(t *testing.T) {
-	sources := []NamedSource{
-		{Name: "buggy", Source: paperapps.BuggySmokeAlarm},
-		{Name: "water-leak", Source: paperapps.WaterLeakDetector},
-	}
-	seq, err := AnalyzeSources(Options{General: true, AppSpecific: true}, sources...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		par, err := AnalyzeSources(Options{General: true, AppSpecific: true, Parallel: workers}, sources...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(render(seq), render(par)) {
-			t.Errorf("parallel=%d diverges from sequential:\nseq: %s\npar: %s",
-				workers, render(seq), render(par))
-		}
-		if !reflect.DeepEqual(seq.Checked, par.Checked) {
-			t.Errorf("parallel=%d Checked = %v, want %v", workers, par.Checked, seq.Checked)
-		}
-		if !reflect.DeepEqual(seq.ViolatedIDs(), par.ViolatedIDs()) {
-			t.Errorf("parallel=%d ViolatedIDs = %v, want %v", workers, par.ViolatedIDs(), seq.ViolatedIDs())
-		}
 	}
 }
 

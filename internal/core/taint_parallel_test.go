@@ -73,40 +73,10 @@ func renderTaint(a *Analysis) string {
 	return b.String()
 }
 
-// TestParallelTaintSweepIdentical requires the taint section of a
-// multi-app analysis to be byte-identical between the sequential sweep
-// and property-parallel sweeps: same flows, same order, same rendered
-// witnesses. (The CI race step runs this under -race.)
-func TestParallelTaintSweepIdentical(t *testing.T) {
-	sources := []NamedSource{
-		{Name: "par-sms", Source: parTaintSms},
-		{Name: "par-hop", Source: parTaintHop},
-		{Name: "par-helper", Source: parTaintHelper},
-		{Name: "par-clean", Source: parTaintClean},
-	}
-	seq, err := AnalyzeSources(Options{General: true, AppSpecific: true, Taint: true}, sources...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.TaintFlows) < 3 {
-		t.Fatalf("fixtures produced %d flows, want >= 3: %s", len(seq.TaintFlows), renderTaint(seq))
-	}
-	for _, workers := range []int{2, 8} {
-		par, err := AnalyzeSources(Options{General: true, AppSpecific: true, Taint: true, Parallel: workers}, sources...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if renderTaint(seq) != renderTaint(par) {
-			t.Errorf("parallel=%d taint flows diverge from sequential:\nseq:\n%spar:\n%s",
-				workers, renderTaint(seq), renderTaint(par))
-		}
-	}
-}
-
 // TestParallelTaintBatchDeterministic pushes the taint family through
 // AnalyzeBatch with concurrent workers and diffs each item's rendered
 // flow section against a sequential run of the same batch — the
-// determinism contract -parallel and the sharded daemons rely on.
+// determinism contract batch fan-out and the sharded daemons rely on.
 func TestParallelTaintBatchDeterministic(t *testing.T) {
 	items := []BatchItem{
 		{Key: "sms", Sources: []NamedSource{{Name: "par-sms", Source: parTaintSms}}},

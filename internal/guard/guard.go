@@ -21,12 +21,12 @@
 // comparison in the hot loops.
 //
 // Budgets are also concurrency-safe: the resource counters are
-// atomics, so one budget may be shared by the parallel property
-// workers of a single analysis while still enforcing one global
-// ceiling. Accounting is add-then-check — each worker charges its
-// increment and panics if the post-add total exceeds the limit — so a
-// counter can transiently overshoot the ceiling by at most one
-// in-flight charge per worker before every worker has tripped.
+// atomics, so one budget may be charged from several goroutines while
+// still enforcing one global ceiling. Accounting is add-then-check —
+// each caller charges its increment and panics if the post-add total
+// exceeds the limit — so a counter can transiently overshoot the
+// ceiling by at most one in-flight charge per goroutine before every
+// one of them has tripped.
 package guard
 
 import (

@@ -338,7 +338,7 @@ func doRequest(ctx context.Context, hc *http.Client, cfg Config, n int, items []
 // the returned closure yields the aggregated stats.
 func sampleQueues(ctx context.Context, wg *sync.WaitGroup, hc *http.Client, targets []string, every time.Duration) func() map[string]QueueStats {
 	type acc struct {
-		samples              int
+		samples               int
 		sum, max, maxInflight int64
 	}
 	accs := make([]acc, len(targets))

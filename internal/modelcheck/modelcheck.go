@@ -53,8 +53,8 @@ func CheckBudget(k *kripke.Structure, f ctl.Formula, b *guard.Budget) *Result {
 // once. Entries are keyed by the formula's rendered hash (String()),
 // so a Memo is bound to the structure it was first used with — never
 // share one across different Kripke structures. Safe for concurrent
-// use by parallel sweep workers; the cached []bool sets are shared and
-// must be treated as read-only.
+// use; the cached []bool sets are shared and must be treated as
+// read-only.
 type Memo struct {
 	mu      sync.Mutex
 	sat     map[string][]bool

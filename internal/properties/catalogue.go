@@ -599,8 +599,7 @@ type AppSpecificReport struct {
 // deciding each applicable variant's formula with check. A variant
 // failure is contained: the property is marked undecided and the sweep
 // continues, so the report still carries verdicts for every other
-// property. See CheckAppSpecificOpts for property filtering and
-// parallel dispatch.
+// property. See CheckAppSpecificOpts for property filtering.
 func CheckAppSpecificWith(m *statemodel.Model, check PropertyChecker) AppSpecificReport {
 	return CheckAppSpecificOpts(m, check, SweepOptions{})
 }

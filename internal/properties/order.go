@@ -9,8 +9,7 @@ import (
 // ordering: S.1–S.5 first, then P.1–P.30, then the taint family
 // T.1–T.6, then the nondeterminism marker ND, with unknown IDs last
 // (ordered lexically among themselves). Reports sorted by IDRank are
-// stable across runs regardless of the order verdicts arrive in — the
-// invariant the parallel property checker relies on.
+// stable across runs regardless of the order verdicts arrive in.
 func IDRank(id string) int {
 	switch {
 	case strings.HasPrefix(id, "S."):

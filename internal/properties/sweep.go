@@ -2,7 +2,6 @@ package properties
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/soteria-analysis/soteria/internal/ctl"
 	"github.com/soteria-analysis/soteria/internal/guard"
@@ -16,18 +15,10 @@ type SweepOptions struct {
 	// unrequested properties are never built or checked, and they do
 	// not appear in the report's Checked list.
 	IDs []string
-	// Parallel is the number of concurrent property workers; values
-	// below 2 run the sweep sequentially. Workers share the model and
-	// Kripke structure read-only; each check call constructs its own
-	// engine state (BDD manager, explicit-checker memo tables), so the
-	// checker passed in must be safe to call concurrently.
-	Parallel int
 }
 
 // sweepTask is one (property, variant) formula to decide. Tasks are
-// enumerated in catalogue order; outcomes are merged back in that same
-// order, so the report is deterministic however the checks are
-// scheduled.
+// enumerated, checked and merged back in catalogue order.
 type sweepTask struct {
 	prop    int // Catalogue() index
 	id      string
@@ -38,9 +29,8 @@ type sweepTask struct {
 // deciding each applicable variant's formula with check. A variant
 // failure is contained: the property is marked undecided and the sweep
 // continues, so the report still carries verdicts for every other
-// property. With o.Parallel > 1 the variants are checked by a bounded
-// worker pool; the report (violations, Checked, diagnostics) is
-// identical to the sequential sweep's.
+// property. Every formula is built before the first check runs, so a
+// checker's own timing measures checks only.
 func CheckAppSpecificOpts(m *statemodel.Model, check PropertyChecker, o SweepOptions) AppSpecificReport {
 	cat := Catalogue()
 
@@ -52,9 +42,6 @@ func CheckAppSpecificOpts(m *statemodel.Model, check PropertyChecker, o SweepOpt
 		}
 	}
 
-	// Applicability and formula construction read the shared model;
-	// both are cheap, so they run serially up front to produce the
-	// dispatch list.
 	var tasks []sweepTask
 	for pi, prop := range cat {
 		if want != nil && !want[prop.ID] {
@@ -73,43 +60,16 @@ func CheckAppSpecificOpts(m *statemodel.Model, check PropertyChecker, o SweepOpt
 	}
 
 	outcomes := make([]PropertyOutcome, len(tasks))
-	if workers := poolSize(o.Parallel, len(tasks)); workers > 1 {
-		var wg sync.WaitGroup
-		ch := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range ch {
-					outcomes[i] = checkContained(check, tasks[i].id, tasks[i].formula)
-				}
-			}()
-		}
-		for i := range tasks {
-			ch <- i
-		}
-		close(ch)
-		wg.Wait()
-	} else {
-		for i, task := range tasks {
-			outcomes[i] = checkContained(check, task.id, task.formula)
-		}
+	for i, task := range tasks {
+		outcomes[i] = checkContained(check, task.id, task.formula)
 	}
 
 	return mergeOutcomes(m, cat, tasks, outcomes)
 }
 
-// poolSize bounds the worker count by the task count.
-func poolSize(parallel, tasks int) int {
-	if parallel > tasks {
-		return tasks
-	}
-	return parallel
-}
-
 // checkContained runs one check inside a recovery boundary: a panic
 // escaping a (mis-implemented) checker undecides only that variant
-// instead of tearing down its sibling workers.
+// instead of aborting the rest of the sweep.
 func checkContained(check PropertyChecker, id string, f ctl.Formula) (out PropertyOutcome) {
 	err := guard.Run("property.dispatch", func() error {
 		out = check(id, f)
@@ -125,8 +85,7 @@ func checkContained(check PropertyChecker, id string, f ctl.Formula) (out Proper
 }
 
 // mergeOutcomes folds per-variant outcomes back into a report in
-// catalogue order — the exact aggregation the sequential sweep
-// performs, applied to the indexed results.
+// catalogue order.
 func mergeOutcomes(m *statemodel.Model, cat []AppProperty, tasks []sweepTask, outcomes []PropertyOutcome) AppSpecificReport {
 	var rep AppSpecificReport
 	appNames := make([]string, len(m.Apps))

@@ -49,7 +49,6 @@ type requestOptions struct {
 	Properties  []string `json:"properties,omitempty"`
 	TimeoutMS   int64    `json:"timeout_ms,omitempty"`
 	MaxStates   int      `json:"max_states,omitempty"`
-	Parallel    int      `json:"parallel,omitempty"`
 }
 
 // analyzeRequest is the POST /v1/analyze body: one app (name+source)
@@ -179,9 +178,6 @@ func (s *Server) coreOptions(o requestOptions) (core.Options, *httpError) {
 	if o.MaxStates < 0 {
 		return opts, badRequest("options: negative max_states")
 	}
-	if o.Parallel < 0 || o.Parallel > 256 {
-		return opts, badRequest("options: parallel out of range [0, 256]")
-	}
 	opts.Limits = s.cfg.Limits
 	if o.TimeoutMS > 0 {
 		d := time.Duration(o.TimeoutMS) * time.Millisecond
@@ -191,10 +187,6 @@ func (s *Server) coreOptions(o requestOptions) (core.Options, *httpError) {
 	}
 	if o.MaxStates > 0 && (s.cfg.Limits.MaxStates == 0 || o.MaxStates < s.cfg.Limits.MaxStates) {
 		opts.Limits.MaxStates = o.MaxStates
-	}
-	opts.Parallel = o.Parallel
-	if opts.Parallel == 0 {
-		opts.Parallel = s.cfg.Parallel
 	}
 	return opts, nil
 }

@@ -31,7 +31,7 @@ func FuzzParseAnalyze(f *testing.F) {
 	seeds := []string{
 		`{"name":"x","source":"definition(name: \"x\")"}`,
 		`{"apps":[{"name":"a","source":"s"},{"name":"b","source":"t"}]}`,
-		`{"name":"x","source":"y","options":{"general":false,"properties":["P.1"],"timeout_ms":100,"max_states":10,"parallel":2},"async":true}`,
+		`{"name":"x","source":"y","options":{"general":false,"properties":["P.1"],"timeout_ms":100,"max_states":10},"async":true}`,
 		`{}`,
 		`{"name":`,
 		`null`,
@@ -63,7 +63,7 @@ func FuzzParseAnalyze(f *testing.F) {
 func FuzzParseBatch(f *testing.F) {
 	seeds := []string{
 		`{"items":[{"key":"a","apps":[{"name":"x","source":"y"}]}]}`,
-		`{"items":[{"apps":[{"name":"x","source":"y"}]},{"apps":[{"name":"z","source":"w"}]}],"options":{"parallel":4}}`,
+		`{"items":[{"apps":[{"name":"x","source":"y"}]},{"apps":[{"name":"z","source":"w"}]}],"options":{}}`,
 		`{"items":[]}`,
 		`{"items":[{"key":"dup","apps":[{"name":"a","source":"s"}]},{"key":"dup","apps":[{"name":"b","source":"t"}]}]}`,
 		`{"items":[{"key":"a"}]}`,

@@ -67,13 +67,16 @@ type journalItem struct {
 	Apps []appSource `json:"apps"`
 }
 
-// journalOptions is the serializable form of core.Options (Parallel
-// included: a replayed job should re-run as submitted).
+// journalOptions is the serializable form of core.Options: a replayed
+// job re-runs as submitted and stores its result under the same
+// AnalysisKey. Taint is a pointer because entries written before it
+// was journaled carry no "taint" key; those replay with the request
+// default, taint on.
 type journalOptions struct {
 	General         bool     `json:"general"`
 	AppSpecific     bool     `json:"app_specific"`
+	Taint           *bool    `json:"taint,omitempty"`
 	PropertyIDs     []string `json:"property_ids,omitempty"`
-	Parallel        int      `json:"parallel,omitempty"`
 	TimeoutMS       int64    `json:"timeout_ms,omitempty"`
 	MaxStates       int      `json:"max_states,omitempty"`
 	MaxBDDNodes     int      `json:"max_bdd_nodes,omitempty"`
@@ -92,8 +95,8 @@ func optionsToJournal(o core.Options) *journalOptions {
 	return &journalOptions{
 		General:         o.General,
 		AppSpecific:     o.AppSpecific,
+		Taint:           &o.Taint,
 		PropertyIDs:     o.PropertyIDs,
-		Parallel:        o.Parallel,
 		TimeoutMS:       o.Limits.Timeout.Milliseconds(),
 		MaxStates:       o.Limits.MaxStates,
 		MaxBDDNodes:     o.Limits.MaxBDDNodes,
@@ -109,8 +112,8 @@ func (jo *journalOptions) core() core.Options {
 	return core.Options{
 		General:     jo.General,
 		AppSpecific: jo.AppSpecific,
+		Taint:       jo.Taint == nil || *jo.Taint,
 		PropertyIDs: jo.PropertyIDs,
-		Parallel:    jo.Parallel,
 		Limits: guard.Limits{
 			Timeout:         time.Duration(jo.TimeoutMS) * time.Millisecond,
 			MaxStates:       jo.MaxStates,

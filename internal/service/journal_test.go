@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -46,7 +47,9 @@ func smokeJob(id string) *job {
 
 // TestJournalRoundTrip appends events through the durable path and
 // replays them from a fresh open: order, payloads, and options must
-// survive the encode/decode cycle.
+// survive the encode/decode cycle. Options survive when the replayed
+// job hashes to the same AnalysisKey as the submitted one, so its
+// result is stored where the client's request looks for it.
 func TestJournalRoundTrip(t *testing.T) {
 	path := journalPath(t)
 	j, events, err := openJournal(path, nil)
@@ -56,10 +59,28 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(events) != 0 {
 		t.Fatalf("fresh journal replayed %d events", len(events))
 	}
-	src := smokeJob("0123456789abcdef")
+	filtered := core.DefaultOptions()
+	filtered.PropertyIDs = []string{"P.10", "T.2"}
+	limited := core.DefaultOptions()
+	limited.Limits.MaxStates = 7
+	optCases := []core.Options{
+		core.DefaultOptions(),
+		{Taint: true},
+		{General: true},
+		filtered,
+		limited,
+	}
+	srcs := make([]*job, len(optCases))
+	for i, o := range optCases {
+		srcs[i] = smokeJob(fmt.Sprintf("0123456789abcde%d", i))
+		srcs[i].opts = o
+	}
+	src := srcs[0]
 	src.idemKey = "client-key-1"
-	if err := j.append(acceptedEvent(src)); err != nil {
-		t.Fatalf("append accepted: %v", err)
+	for i, s := range srcs {
+		if err := j.append(acceptedEvent(s)); err != nil {
+			t.Fatalf("append accepted %d: %v", i, err)
+		}
 	}
 	done := terminalEvent(src, statusDone, []itemResult{{StoreKey: "aa", Cached: false}}, 42*time.Millisecond)
 	if err := j.append(done); err != nil {
@@ -69,13 +90,27 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
+	// An accepted entry as written before taint was journaled: it still
+	// carries the since-removed "parallel" option and has no "taint" key.
+	legacy := `{"op":"accepted","job":"feedfacefeedface","items":[{"apps":[{"name":"smoke-alarm","source":"x"}]}],"opts":{"general":true,"app_specific":true,"parallel":2}}`
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatalf("open journal for legacy entry: %v", err)
+	}
+	if _, err := fmt.Fprintf(f, "%08x %s\n", crc32.ChecksumIEEE([]byte(legacy)), legacy); err != nil {
+		t.Fatalf("write legacy entry: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("close journal: %v", err)
+	}
+
 	j2, events, err := openJournal(path, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer j2.close()
-	if len(events) != 2 {
-		t.Fatalf("replayed %d events, want 2", len(events))
+	if want := len(optCases) + 2; len(events) != want {
+		t.Fatalf("replayed %d events, want %d", len(events), want)
 	}
 	acc := events[0]
 	if acc.Op != opAccepted || acc.Job != src.id || acc.Idem != "client-key-1" {
@@ -84,11 +119,21 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(acc.Items) != 1 || acc.Items[0].Apps[0].Source != paperapps.SmokeAlarm {
 		t.Fatalf("accepted entry lost its sources")
 	}
-	if got := acc.Opts.core(); got.General != src.opts.General || got.AppSpecific != src.opts.AppSpecific {
-		t.Fatalf("options round trip: %+v", got)
+	for i, s := range srcs {
+		sources := s.items[0].Sources
+		got := events[i].Opts.core()
+		if core.AnalysisKey(sources, got) != core.AnalysisKey(sources, s.opts) {
+			t.Errorf("options %+v replayed as %+v", s.opts, got)
+		}
 	}
-	if events[1].Op != opDone || events[1].ElapsedMS != 42 || events[1].Results[0].StoreKey != "aa" {
-		t.Fatalf("terminal entry: %+v", events[1])
+	term := events[len(optCases)]
+	if term.Op != opDone || term.ElapsedMS != 42 || term.Results[0].StoreKey != "aa" {
+		t.Fatalf("terminal entry: %+v", term)
+	}
+	old := jobFromAccepted(events[len(optCases)+1])
+	sources := []core.NamedSource{{Name: "smoke-alarm", Source: "x"}}
+	if core.AnalysisKey(sources, old.opts) != core.AnalysisKey(sources, core.DefaultOptions()) {
+		t.Fatalf("legacy entry replayed with %+v, want the defaults (taint on)", old.opts)
 	}
 }
 

@@ -65,9 +65,6 @@ type Config struct {
 	MaxSourceBytes int
 	// MaxBatchItems caps items per batch request (default 64).
 	MaxBatchItems int
-	// Parallel is the per-analysis property-checking worker count
-	// passed through to the pipeline (default 1).
-	Parallel int
 	// Limits are the per-job resource limits (states, BDD nodes, SAT
 	// conflicts, formula depth); the zero value is unlimited. The
 	// wall clock is governed by JobTimeout.

@@ -227,6 +227,7 @@ func TestRequestValidation(t *testing.T) {
 		{"trailing", `{"name":"x","source":"y"}{}`, http.StatusBadRequest},
 		{"bad property", `{"name":"x","source":"y","options":{"properties":["P.999"]}}`, http.StatusBadRequest},
 		{"negative timeout", `{"name":"x","source":"y","options":{"timeout_ms":-1}}`, http.StatusBadRequest},
+		{"removed parallel option", `{"name":"x","source":"y","options":{"parallel":2}}`, http.StatusBadRequest},
 		{"nothing to check", `{"name":"x","source":"y","options":{"general":false,"app_specific":false,"taint":false}}`, http.StatusBadRequest},
 		{"oversized source", fmt.Sprintf(`{"name":"x","source":%q}`, strings.Repeat("a", 4096)), http.StatusRequestEntityTooLarge},
 	}

@@ -427,8 +427,7 @@ func (x *executor) evalCall(c *groovy.CallExpr, p *pstate) []out {
 var sinkCalls = map[string]bool{
 	"sendSms": true, "sendSmsMessage": true,
 	"sendPush": true, "sendPushMessage": true,
-	"sendNotification": true, "sendNotificationToContacts": true,
-	"sendNotificationEvent": true,
+	"sendNotification": true, "sendNotificationToContacts": true, "sendNotificationEvent": true,
 	"httpGet": true, "httpPost": true, "httpPostJson": true,
 	"httpPut": true, "httpPutJson": true, "httpDelete": true,
 	"httpHead": true,

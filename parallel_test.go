@@ -108,8 +108,9 @@ func TestParallelBatchFaultIsolation(t *testing.T) {
 }
 
 // TestParallelReportDeterminism renders violation reports from
-// repeated parallel runs of the same buggy environment and requires
-// them byte-identical — catalogue order, independent of scheduling.
+// concurrent batch analyses of the same buggy environment and requires
+// them byte-identical to a sequential run — catalogue order,
+// independent of scheduling.
 func TestParallelReportDeterminism(t *testing.T) {
 	apps := []*App{
 		parse(t, "buggy-smoke-alarm", paperapps.BuggySmokeAlarm),
@@ -132,19 +133,22 @@ func TestParallelReportDeterminism(t *testing.T) {
 	if want == "" {
 		t.Fatal("buggy environment should produce violations")
 	}
-	for run := 0; run < 3; run++ {
-		res, err := AnalyzeEnvironment(apps, WithParallel(8))
-		if err != nil {
-			t.Fatal(err)
+	items := make([]BatchItem, 8)
+	for i := range items {
+		items[i] = BatchItem{Key: fmt.Sprintf("env-%d", i), Apps: apps}
+	}
+	for _, r := range AnalyzeBatch(context.Background(), 8, items) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Key, r.Err)
 		}
-		if got := renderResult(res); got != want {
-			t.Errorf("run %d: parallel report differs from sequential:\n--- want ---\n%s--- got ---\n%s", run, want, got)
+		if got := renderResult(r.Result); got != want {
+			t.Errorf("%s: batch report differs from sequential:\n--- want ---\n%s--- got ---\n%s", r.Key, want, got)
 		}
 	}
 }
 
 // TestParallelBatchPublicAPI drives the exported batch surface:
-// per-item environments, input-order results, option plumbing.
+// per-item environments and input-order results.
 func TestParallelBatchPublicAPI(t *testing.T) {
 	items := []BatchItem{
 		{Key: "buggy", Apps: []*App{parse(t, "buggy", paperapps.BuggySmokeAlarm)}},
@@ -153,7 +157,7 @@ func TestParallelBatchPublicAPI(t *testing.T) {
 			parse(t, "water-leak", paperapps.WaterLeakDetector),
 		}},
 	}
-	results := AnalyzeBatch(context.Background(), 2, items, WithParallel(2))
+	results := AnalyzeBatch(context.Background(), 2, items)
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))
 	}

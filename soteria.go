@@ -306,15 +306,6 @@ func WithLimits(l Limits) Option {
 	return func(o *core.Options) { o.Limits = l.internal() }
 }
 
-// WithParallel checks properties with n concurrent workers (values
-// below 2 check sequentially). Parallel and sequential runs produce
-// identical results: workers share the Kripke structure read-only,
-// each check builds its own engine state, resource limits stay global,
-// and the report is merged in catalogue order.
-func WithParallel(n int) Option {
-	return func(o *core.Options) { o.Parallel = n }
-}
-
 // Analyze checks a single app against all properties. It never
 // panics: internal faults and budget exhaustion come back as a
 // partial Result with Incomplete set.
@@ -439,8 +430,7 @@ type BatchResult struct {
 // 2 run sequentially, 0 uses GOMAXPROCS). Results come back in input
 // order and are identical to running Analyze on each item in turn: a
 // panic or exhausted budget in one item degrades only that item's
-// result. Options apply to every item; combine with WithParallel to
-// additionally fan out property checks inside each item.
+// result. Options apply to every item.
 func AnalyzeBatch(ctx context.Context, parallel int, items []BatchItem, opts ...Option) []BatchResult {
 	o := core.DefaultOptions()
 	for _, fn := range opts {
@@ -626,8 +616,6 @@ type ServiceConfig struct {
 	JobTimeout time.Duration
 	// MaxBodyBytes caps request bodies (0 = 8 MiB).
 	MaxBodyBytes int64
-	// Parallel is the per-analysis property-check worker count (0 = 1).
-	Parallel int
 	// Limits are per-job resource limits; the zero value is unlimited.
 	Limits Limits
 	// StoreDir roots the persistent result store; "" keeps memoization
@@ -696,7 +684,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		QueueDepth:       cfg.QueueDepth,
 		JobTimeout:       cfg.JobTimeout,
 		MaxBodyBytes:     cfg.MaxBodyBytes,
-		Parallel:         cfg.Parallel,
 		Limits:           cfg.Limits.internal(),
 		Store:            st,
 		Cluster:          cl,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,9 +15,9 @@ import (
 )
 
 // TestTaintVerdictsCrossRuntime pins the acceptance contract for the
-// taint family: analyzing the same leaky app sequentially, with
-// parallel property workers, and through the service (`-remote` path)
-// must produce byte-identical records — including the taint_flows
+// taint family: analyzing the same leaky app sequentially, fanned out
+// by AnalyzeBatch, and through the service (`-remote` path) must
+// produce byte-identical records — including the taint_flows
 // section and its rendered witnesses. MalIoT App11 is the fixture: the
 // suite's sensitive-data-leak app, expected to violate exactly T.2.
 func TestTaintVerdictsCrossRuntime(t *testing.T) {
@@ -35,12 +36,8 @@ func TestTaintVerdictsCrossRuntime(t *testing.T) {
 		t.Fatalf("ParseApp: %v", err)
 	}
 
-	record := func(label string, opts ...Option) string {
+	record := func(label string, res *Result) string {
 		t.Helper()
-		res, err := Analyze(app, opts...)
-		if err != nil {
-			t.Fatalf("%s: Analyze: %v", label, err)
-		}
 		data, err := res.JSON()
 		if err != nil {
 			t.Fatalf("%s: JSON: %v", label, err)
@@ -48,16 +45,27 @@ func TestTaintVerdictsCrossRuntime(t *testing.T) {
 		return string(data)
 	}
 
-	seq := record("sequential")
+	res, err := Analyze(app)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	seq := record("sequential", res)
 	if !strings.Contains(seq, `"taint_flows":[{`) {
 		t.Fatalf("sequential record lacks taint flows:\n%s", seq)
 	}
 	if !strings.Contains(seq, `"id":"T.2"`) {
 		t.Fatalf("App11 record does not flag T.2:\n%s", seq)
 	}
-	for _, workers := range []int{2, 8} {
-		if par := record("parallel", WithParallel(workers)); par != seq {
-			t.Errorf("parallel=%d record diverges from sequential:\n%s\n---\n%s", workers, par, seq)
+	items := make([]BatchItem, 4)
+	for i := range items {
+		items[i] = BatchItem{Key: fmt.Sprintf("app11-%d", i), Apps: []*App{app}}
+	}
+	for _, r := range AnalyzeBatch(context.Background(), 4, items) {
+		if r.Err != nil {
+			t.Fatalf("%s: AnalyzeBatch: %v", r.Key, r.Err)
+		}
+		if par := record(r.Key, r.Result); par != seq {
+			t.Errorf("%s: batch record diverges from sequential:\n%s\n---\n%s", r.Key, par, seq)
 		}
 	}
 
