@@ -9,7 +9,8 @@
 // Flags:
 //
 //	-addr A         listen address (default :8380)
-//	-store DIR      result store directory ("" disables persistence)
+//	-store DIR      result store directory, the only result cache
+//	                ("" analyzes every job and reuses nothing)
 //	-journal PATH   durable job journal ("" disables crash recovery)
 //	-peers LIST     comma-separated fleet member URLs, self included
 //	                ("" runs single-node)
@@ -80,7 +81,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8380", "listen address")
-		storeDir     = flag.String("store", "soteriad-store", "result store directory (empty disables persistence)")
+		storeDir     = flag.String("store", "soteriad-store", "result store directory, the only result cache (empty analyzes every job and reuses nothing)")
 		journalPath  = flag.String("journal", "", "durable job journal path (empty disables crash recovery)")
 		workers      = flag.Int("workers", 0, "concurrent analysis workers (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "queued-job bound before 429 backpressure")

@@ -260,7 +260,7 @@ func TestKillRestartLosesNoAcceptedJob(t *testing.T) {
 	}
 
 	// No torn record served: every stored result fetched by content
-	// address must decode as a schema-1 record.
+	// address must decode as a current-schema record.
 	for i, id := range ids {
 		j, err := c2.Poll(ctx, id)
 		if err != nil {

@@ -44,21 +44,12 @@ type BatchOptions struct {
 	// Parallel bounds the number of items analyzed concurrently;
 	// 0 defaults to GOMAXPROCS, values below 2 run sequentially.
 	Parallel int
-	// Cache, when non-nil, memoizes completed analyses per item (keyed
-	// by source hashes + options, see AnalysisKey), so repeated audits —
-	// the same app in several groups, the same corpus across tables —
-	// reuse whole analyses instead of rebuilding them. A *Cache
-	// additionally memoizes parsed IR per source; any other ResultCache
-	// (e.g. the persistent store's AnalysisCache) memoizes at the
-	// analysis level only, unless it also implements SourceParser.
-	Cache ResultCache
-}
-
-// SourceParser is the optional second level of a ResultCache: per-
-// source IR memoization. AnalyzeBatch parses through it when the
-// configured cache provides one.
-type SourceParser interface {
-	ParseSource(s NamedSource) (*ir.App, error)
+	// Cache, when non-nil, memoizes parsed IR per source and completed
+	// analyses per item (keyed by source hashes + options, see
+	// AnalysisKey), so repeated audits — the same app in several groups,
+	// the same corpus across tables — reuse whole analyses instead of
+	// rebuilding them.
+	Cache *Cache
 }
 
 // AnalyzeBatch analyzes the items with a bounded worker pool and
@@ -139,7 +130,7 @@ func analyzeItem(ctx context.Context, bo BatchOptions, it BatchItem) BatchResult
 			irsp := obs.Start(ctx, "ir")
 			apps = make([]*ir.App, len(it.Sources))
 			for i, s := range it.Sources {
-				app, err := parseCached(bo.Cache, s)
+				app, err := bo.Cache.ParseSource(s)
 				if err != nil {
 					irsp.End()
 					return fmt.Errorf("parsing %s: %w", s.Name, err)
@@ -168,11 +159,4 @@ func analyzeItem(ctx context.Context, bo BatchOptions, it BatchItem) BatchResult
 		bo.Cache.StoreAnalysis(cacheKey, br.Analysis)
 	}
 	return br
-}
-
-func parseCached(c ResultCache, s NamedSource) (*ir.App, error) {
-	if p, ok := c.(SourceParser); ok {
-		return p.ParseSource(s)
-	}
-	return ir.BuildSource(s.Name, s.Source)
 }

@@ -1,43 +1,13 @@
 package core
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/soteria-analysis/soteria/internal/ir"
 )
-
-// ResultCache is the memoization contract of AnalyzeBatch: completed
-// analyses keyed by a content hash of their inputs (see AnalysisKey).
-// The in-process Cache below and the persistent disk store
-// (internal/store.AnalysisCache) both satisfy it, so batch callers can
-// swap process-lifetime memoization for cross-restart memoization
-// without touching the pipeline.
-//
-// Implementations must be safe for concurrent use and must treat
-// stored analyses as immutable. LookupAnalysis reports a miss for keys
-// never stored; StoreAnalysis may decline to store (e.g. partial
-// results). Stats exposes hit/miss/eviction counters for /metrics.
-type ResultCache interface {
-	LookupAnalysis(key string) (*Analysis, bool)
-	StoreAnalysis(key string, an *Analysis)
-	Stats() CacheStats
-}
-
-// CacheStats are a cache's monotonic counters and current sizes, for
-// instrumentation (the soteriad /metrics endpoint) and tests.
-type CacheStats struct {
-	// Hits and Misses count LookupAnalysis outcomes.
-	Hits, Misses int64
-	// Evictions counts analyses dropped to honor a capacity bound.
-	Evictions int64
-	// IREntries and Analyses are the current entry counts.
-	IREntries, Analyses int
-}
 
 // SourceHash fingerprints one named source (length-prefixed, so
 // name/source boundaries cannot collide).
@@ -64,8 +34,12 @@ func AnalysisKey(sources []NamedSource, o Options) string {
 // repeated audits hit without coordination:
 //
 //   - an IR cache: source hash → parsed *ir.App,
-//   - an analysis cache: AnalysisKey → completed *Analysis, optionally
-//     bounded with least-recently-used eviction (see NewCacheBounded).
+//   - an analysis cache: AnalysisKey → completed *Analysis.
+//
+// Both levels are unbounded and live as long as the Cache: it is for
+// finite workloads (the CLI tables, the market audits, the
+// experiments), not for a long-running server, whose only result cache
+// is its persistent store.
 //
 // Cached values are shared, not copied: the IR and the Analysis (its
 // model, Kripke structure, and violations) are treated as immutable
@@ -77,13 +51,9 @@ func AnalysisKey(sources []NamedSource, o Options) string {
 // (lookups miss, stores are dropped), so a nil cache threaded through
 // BatchOptions simply disables memoization.
 type Cache struct {
-	mu  sync.Mutex
-	ir  map[string]irEntry
-	an  map[string]*list.Element
-	lru *list.List // of *anEntry, front = most recently used
-	max int        // max analysis entries; 0 = unbounded
-
-	hits, misses, evictions atomic.Int64
+	mu sync.Mutex
+	ir map[string]irEntry
+	an map[string]*Analysis
 }
 
 type irEntry struct {
@@ -91,25 +61,9 @@ type irEntry struct {
 	err error
 }
 
-type anEntry struct {
-	key string
-	an  *Analysis
-}
-
-// NewCache creates an empty, unbounded batch cache.
-func NewCache() *Cache { return NewCacheBounded(0) }
-
-// NewCacheBounded creates a batch cache holding at most maxAnalyses
-// completed analyses (0 = unbounded), evicting the least recently used
-// entry past the bound. The IR level stays unbounded: parsed IR is
-// small and shared by many analyses.
-func NewCacheBounded(maxAnalyses int) *Cache {
-	return &Cache{
-		ir:  map[string]irEntry{},
-		an:  map[string]*list.Element{},
-		lru: list.New(),
-		max: maxAnalyses,
-	}
+// NewCache creates an empty batch cache.
+func NewCache() *Cache {
+	return &Cache{ir: map[string]irEntry{}, an: map[string]*Analysis{}}
 }
 
 // ParseSource parses through the IR cache. Errors are cached too:
@@ -134,22 +88,15 @@ func (c *Cache) ParseSource(s NamedSource) (*ir.App, error) {
 	return app, err
 }
 
-// LookupAnalysis returns the memoized analysis for key, marking it
-// most recently used.
+// LookupAnalysis returns the memoized analysis for key.
 func (c *Cache) LookupAnalysis(key string) (*Analysis, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.an[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*anEntry).an, true
+	an, ok := c.an[key]
+	return an, ok
 }
 
 // StoreAnalysis memoizes a completed analysis. Partial results are
@@ -161,43 +108,5 @@ func (c *Cache) StoreAnalysis(key string, an *Analysis) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.an[key]; ok {
-		el.Value.(*anEntry).an = an
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.an[key] = c.lru.PushFront(&anEntry{key: key, an: an})
-	for c.max > 0 && c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.an, oldest.Value.(*anEntry).key)
-		c.evictions.Add(1)
-	}
-}
-
-// Stats reports the cache's counters and entry counts.
-func (c *Cache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		IREntries: len(c.ir),
-		Analyses:  len(c.an),
-	}
-}
-
-// Len reports the number of cached IR and analysis entries, for tests
-// and instrumentation.
-func (c *Cache) Len() (irEntries, analyses int) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.ir), len(c.an)
+	c.an[key] = an
 }

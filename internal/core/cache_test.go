@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -46,60 +47,31 @@ func TestAnalysisKeyOptionSensitivity(t *testing.T) {
 	}
 }
 
+// TestCacheStatsCounters pins the analysis level's lookup outcomes:
+// a miss before any store, a hit (returning the stored value) after,
+// and misses for Incomplete and nil analyses, which are never cached.
 func TestCacheStatsCounters(t *testing.T) {
 	c := NewCache()
 	if _, ok := c.LookupAnalysis("k"); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.StoreAnalysis("k", &Analysis{Checked: []string{"S.1"}})
-	if _, ok := c.LookupAnalysis("k"); !ok {
-		t.Fatal("stored analysis not found")
+	want := &Analysis{Checked: []string{"S.1"}}
+	c.StoreAnalysis("k", want)
+	if got, ok := c.LookupAnalysis("k"); !ok || got != want {
+		t.Fatalf("lookup after store = %p, %t; want %p, true", got, ok, want)
 	}
-	// Incomplete and nil analyses are never cached.
 	c.StoreAnalysis("partial", &Analysis{Incomplete: true})
 	c.StoreAnalysis("nil", nil)
-	if _, ok := c.LookupAnalysis("partial"); ok {
-		t.Fatal("incomplete analysis was cached")
+	for _, k := range []string{"partial", "nil"} {
+		if _, ok := c.LookupAnalysis(k); ok {
+			t.Fatalf("%s analysis was cached", k)
+		}
 	}
-
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 2 || st.Evictions != 0 {
-		t.Fatalf("stats = %+v, want 1 hit, 2 misses, 0 evictions", st)
-	}
-	if st.Analyses != 1 {
-		t.Fatalf("stats.Analyses = %d, want 1", st.Analyses)
-	}
-}
-
-func TestCacheBoundedEviction(t *testing.T) {
-	c := NewCacheBounded(2)
-	for i := 0; i < 4; i++ {
-		c.StoreAnalysis(fmt.Sprintf("k%d", i), &Analysis{})
-	}
-	st := c.Stats()
-	if st.Analyses != 2 || st.Evictions != 2 {
-		t.Fatalf("stats = %+v, want 2 analyses, 2 evictions", st)
-	}
-	// Oldest entries evicted, newest retained.
-	if _, ok := c.LookupAnalysis("k0"); ok {
-		t.Fatal("k0 survived eviction")
-	}
-	if _, ok := c.LookupAnalysis("k3"); !ok {
-		t.Fatal("k3 was evicted")
-	}
-	// A lookup refreshes recency: after touching k2, storing k4 evicts
-	// k3 (now least recent), and storing k5 evicts k2.
-	c.LookupAnalysis("k2")
-	c.StoreAnalysis("k4", &Analysis{})
-	if _, ok := c.LookupAnalysis("k3"); ok {
-		t.Fatal("k3 outlived the refreshed k2")
-	}
-	c.StoreAnalysis("k5", &Analysis{})
-	if _, ok := c.LookupAnalysis("k2"); ok {
-		t.Fatal("k2 survived past the bound")
-	}
-	if _, ok := c.LookupAnalysis("k5"); !ok {
-		t.Fatal("most recent entry k5 was evicted")
+	// A second store under the same key replaces the first.
+	again := &Analysis{Checked: []string{"S.2"}}
+	c.StoreAnalysis("k", again)
+	if got, _ := c.LookupAnalysis("k"); got != again {
+		t.Fatal("re-store did not replace the cached analysis")
 	}
 }
 
@@ -109,19 +81,14 @@ func TestCacheNilSafety(t *testing.T) {
 		t.Fatal("nil cache reported a hit")
 	}
 	c.StoreAnalysis("k", &Analysis{}) // must not panic
-	if st := c.Stats(); st != (CacheStats{}) {
-		t.Fatalf("nil cache stats = %+v, want zero", st)
-	}
-	if irs, ans := c.Len(); irs != 0 || ans != 0 {
-		t.Fatal("nil cache reports entries")
-	}
 	if _, err := c.ParseSource(NamedSource{Name: "x", Source: "definition(name: \"x\")\n"}); err != nil {
 		t.Fatalf("nil cache ParseSource: %v", err)
 	}
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := NewCacheBounded(8)
+	c := NewCache()
+	var hits atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -129,38 +96,19 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (g+i)%16)
-				if an, ok := c.LookupAnalysis(key); ok && an == nil {
-					t.Error("hit returned nil analysis")
-					return
+				if an, ok := c.LookupAnalysis(key); ok {
+					if an.Checked[0] != key {
+						t.Error("hit returned another key's analysis")
+						return
+					}
+					hits.Add(1)
 				}
 				c.StoreAnalysis(key, &Analysis{Checked: []string{key}})
 			}
 		}(g)
 	}
 	wg.Wait()
-	st := c.Stats()
-	if st.Analyses > 8 {
-		t.Fatalf("bound violated: %d analyses cached (max 8)", st.Analyses)
-	}
-	if st.Hits+st.Misses == 0 {
-		t.Fatal("no lookups recorded")
-	}
-}
-
-// TestResultCacheCompliance pins the interface: both the in-process
-// cache and a nil cache must satisfy ResultCache semantics through the
-// interface (including the typed-nil case BatchOptions can produce).
-func TestResultCacheCompliance(t *testing.T) {
-	var rc ResultCache = (*Cache)(nil)
-	if _, ok := rc.LookupAnalysis("k"); ok {
-		t.Fatal("typed-nil cache reported a hit")
-	}
-	rc.StoreAnalysis("k", &Analysis{})
-	_ = rc.Stats()
-
-	rc = NewCache()
-	rc.StoreAnalysis("k", &Analysis{})
-	if _, ok := rc.LookupAnalysis("k"); !ok {
-		t.Fatal("interface-wrapped cache lost its entry")
+	if hits.Load() == 0 {
+		t.Fatal("no lookup hit a stored analysis")
 	}
 }

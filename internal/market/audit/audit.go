@@ -31,12 +31,10 @@ type Report struct {
 // Table 4 group as a multi-app environment — fanned out over a batch
 // worker pool. parallel bounds concurrent analyses (values below 2 run
 // sequentially); results are always in corpus order and identical to a
-// sequential audit's. The cache may be nil; passing one (an in-process
-// core.Cache, or the persistent store's AnalysisCache for
-// cross-restart reuse) lets group audits reuse IR parsed for the
-// individual passes, and repeated audits (across experiment tables)
-// reuse whole analyses.
-func Run(ctx context.Context, parallel int, cache core.ResultCache) *Report {
+// sequential audit's. The cache may be nil; passing one lets group
+// audits reuse IR parsed for the individual passes, and repeated audits
+// (across experiment tables) reuse whole analyses.
+func Run(ctx context.Context, parallel int, cache *core.Cache) *Report {
 	apps := market.All()
 	groups := market.Groups()
 

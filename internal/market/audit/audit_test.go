@@ -3,38 +3,12 @@ package audit
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/market"
 	"github.com/soteria-analysis/soteria/internal/properties"
 )
-
-// spyCache wraps a real cache and counts the audit's interactions with
-// it.
-type spyCache struct {
-	inner   core.ResultCache
-	mu      sync.Mutex
-	lookups int
-	stores  int
-}
-
-func (s *spyCache) LookupAnalysis(key string) (*core.Analysis, bool) {
-	s.mu.Lock()
-	s.lookups++
-	s.mu.Unlock()
-	return s.inner.LookupAnalysis(key)
-}
-
-func (s *spyCache) StoreAnalysis(key string, an *core.Analysis) {
-	s.mu.Lock()
-	s.stores++
-	s.mu.Unlock()
-	s.inner.StoreAnalysis(key, an)
-}
-
-func (s *spyCache) Stats() core.CacheStats { return s.inner.Stats() }
 
 func fingerprint(r *Report) string {
 	var sb []byte
@@ -46,31 +20,53 @@ func fingerprint(r *Report) string {
 	return string(sb)
 }
 
+// itemSources rebuilds the sources Run analyzes for an app or group
+// ID, so the test can address the cache by content key.
+func itemSources(t *testing.T, id string, members []string) []core.NamedSource {
+	t.Helper()
+	if members == nil {
+		members = []string{id}
+	}
+	var srcs []core.NamedSource
+	for _, m := range members {
+		a, ok := market.ByID(m)
+		if !ok {
+			t.Fatalf("%s: unknown corpus app %s", id, m)
+		}
+		srcs = append(srcs, core.NamedSource{Name: a.Name, Source: a.Source})
+	}
+	return srcs
+}
+
 func TestRunCacheInteraction(t *testing.T) {
 	items := len(market.All()) + len(market.Groups())
-	spy := &spyCache{inner: core.NewCache()}
+	cache := core.NewCache()
 
-	first := Run(context.Background(), 4, spy)
+	first := Run(context.Background(), 4, cache)
 	if got := len(first.Apps) + len(first.Groups); got != items {
 		t.Fatalf("audit produced %d entries, corpus has %d items", got, items)
 	}
-	if spy.lookups != items {
-		t.Errorf("first audit made %d analysis lookups, want one per item (%d)", spy.lookups, items)
-	}
-	if spy.stores != items {
-		t.Errorf("first audit stored %d analyses, want %d", spy.stores, items)
-	}
-	if h := spy.Stats().Hits; h != 0 {
-		t.Errorf("first audit hit a cold cache %d times", h)
+	// Every app and group was stored under its content key.
+	for _, es := range [][]Entry{first.Apps, first.Groups} {
+		for _, e := range es {
+			key := core.AnalysisKey(itemSources(t, e.ID, e.Members), core.DefaultOptions())
+			if _, ok := cache.LookupAnalysis(key); !ok {
+				t.Errorf("%s: no cached analysis after the first audit", e.ID)
+			}
+		}
 	}
 
-	second := Run(context.Background(), 4, spy)
-	if hits := spy.Stats().Hits; hits < int64(items) {
-		t.Errorf("second audit only hit the cache %d times, want >= %d", hits, items)
+	// Plant a marked analysis under one app's key: the second audit
+	// must report it, which proves the audit looks the cache up.
+	planted := first.Apps[0].ID
+	cache.StoreAnalysis(
+		core.AnalysisKey(itemSources(t, planted, nil), core.DefaultOptions()),
+		&core.Analysis{Violations: []properties.Violation{{ID: "PLANTED"}}})
+	second := Run(context.Background(), 4, cache)
+	if got := fmt.Sprint(second.Apps[0].Violated); got != "[PLANTED]" {
+		t.Fatalf("%s: second audit reported %s, want the planted [PLANTED]", planted, got)
 	}
-	if spy.stores != items {
-		t.Errorf("second audit re-stored analyses (%d stores total, want %d)", spy.stores, items)
-	}
+	second.Apps[0] = first.Apps[0]
 	if fingerprint(first) != fingerprint(second) {
 		t.Error("cached audit differs from the cold one")
 	}

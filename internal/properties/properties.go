@@ -49,20 +49,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString is the inverse of Kind.String, for decoding
-// persisted records; unknown names map to General.
-func KindFromString(s string) Kind {
-	switch s {
-	case "app-specific":
-		return AppSpecific
-	case "nondeterminism":
-		return Nondeterminism
-	case "taint":
-		return Taint
-	}
-	return General
-}
-
 // Violation is one reported property violation.
 type Violation struct {
 	ID          string // "S.1", "P.30", "ND"

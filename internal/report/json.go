@@ -15,9 +15,6 @@ import (
 	"fmt"
 
 	"github.com/soteria-analysis/soteria/internal/core"
-	"github.com/soteria-analysis/soteria/internal/guard"
-	"github.com/soteria-analysis/soteria/internal/properties"
-	"github.com/soteria-analysis/soteria/internal/taint"
 )
 
 // Schema is the current record schema version. Decode rejects records
@@ -39,8 +36,8 @@ type Record struct {
 	// Violations are in catalogue order (S.1–S.5, P.1–P.30, T.1–T.6, ND).
 	Violations []Violation `json:"violations"`
 	// TaintFlows are the sensitive-data-flow findings, sorted. They are
-	// persisted in full (not just as violations) so rehydrated cache
-	// hits serve byte-identical flow sections.
+	// persisted in full (not just as violations) so store hits serve
+	// the same flow sections a fresh analysis would.
 	TaintFlows []TaintFlow `json:"taint_flows"`
 	// Checked lists the fully decided app-specific property IDs.
 	Checked []string `json:"checked"`
@@ -149,55 +146,6 @@ func FromAnalysis(an *core.Analysis) *Record {
 		})
 	}
 	return rec
-}
-
-// ToAnalysis rehydrates a record into a model-less core.Analysis:
-// verdict-level fields (Violations, Checked, Incomplete, Diagnostics)
-// are restored; the state model and Kripke structure are not persisted,
-// so post-hoc formula checks on a rehydrated analysis report "no
-// model". This is the fidelity a cross-restart cache can honestly
-// offer — in-process cache levels keep the full analysis.
-func ToAnalysis(rec *Record) *core.Analysis {
-	an := &core.Analysis{
-		Incomplete: rec.Incomplete,
-		Checked:    append([]string{}, rec.Checked...),
-	}
-	for _, v := range rec.Violations {
-		an.Violations = append(an.Violations, properties.Violation{
-			ID:             v.ID,
-			Kind:           properties.KindFromString(v.Kind),
-			Description:    v.Description,
-			Detail:         v.Detail,
-			Apps:           v.Apps,
-			Counterexample: v.Counterexample,
-		})
-	}
-	for _, f := range rec.TaintFlows {
-		an.TaintFlows = append(an.TaintFlows, taint.Flow{
-			ID:          f.ID,
-			App:         f.App,
-			Handler:     f.Handler,
-			Event:       f.Event,
-			Source:      f.Source,
-			SourceClass: f.SourceClass,
-			Via:         f.Via,
-			Sink:        f.Sink,
-			Channel:     f.Channel,
-			Line:        f.Line,
-			Condition:   f.Condition,
-			Witness:     f.Witness,
-		})
-	}
-	for _, d := range rec.Diagnostics {
-		an.Diagnostics = append(an.Diagnostics, guard.Diagnostic{
-			Stage:    d.Stage,
-			Property: d.Property,
-			Engine:   d.Engine,
-			Kind:     guard.DiagKind(d.Kind),
-			Message:  d.Message,
-		})
-	}
-	return an
 }
 
 // Encode renders a record as canonical JSON: compact, fixed field

@@ -337,7 +337,8 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 // the local store, or the fleet's peer-routed view of it, so a node
 // answers from any replica's cache before analyzing or forwarding.
 // All items must hit; a partial hit set still queues the job (the
-// worker's cache reuses whatever is warm).
+// worker serves the stored items from the backend and analyzes the
+// rest).
 func (s *Server) finishFromStore(j *job) bool {
 	if s.cfg.Store == nil && s.cfg.Cluster == nil {
 		return false

@@ -11,7 +11,7 @@ import (
 // handleMetrics serves GET /metrics in the Prometheus text exposition
 // format (hand-rendered; the serving tier is standard-library only).
 // Gauges come from the guard instrumentation; counters from the job
-// table, the persistent store, the in-process analysis cache, and the
+// table, the persistent store (soteriad's only result cache), and the
 // memo totals aggregated from job span trees; histograms are the obs
 // latency families (job end-to-end, queue wait, per-phase,
 // per-property engine check). The exposition-format test validates
@@ -48,13 +48,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("soteriad_journal_syncs_total", "fsyncs issued by the job journal (group commit batches appends).", s.journal.stats.syncs.Load())
 		gauge("soteriad_journal_truncated_bytes", "Torn-tail bytes truncated when the journal was opened.", int64(s.journal.replay.TruncatedBytes))
 	}
-
-	cs := s.cache.Stats()
-	counter("soteriad_cache_hits_total", "Analysis cache hits (in-process + store).", cs.Hits)
-	counter("soteriad_cache_misses_total", "Analysis cache misses (in-process + store).", cs.Misses)
-	counter("soteriad_cache_evictions_total", "Analysis cache evictions (in-process + store front).", cs.Evictions)
-	gauge("soteriad_cache_analyses", "Analyses held in process.", int64(cs.Analyses))
-	gauge("soteriad_cache_ir_entries", "Parsed IR entries held in process.", int64(cs.IREntries))
 
 	ss := s.cfg.Store.Stats()
 	counter("soteriad_store_hits_total", "Persistent store hits (memory front + disk).", ss.Hits)

@@ -48,7 +48,7 @@ import (
 
 // Config configures a Server. The zero value is serviceable: defaults
 // fill in workers, queue depth, timeouts, and size caps; Store may be
-// nil for a purely in-memory (process-lifetime) cache.
+// nil, and then (with no Cluster) nothing is reused.
 type Config struct {
 	// Workers is the number of concurrent analysis workers (default
 	// GOMAXPROCS).
@@ -69,8 +69,9 @@ type Config struct {
 	// conflicts, formula depth); the zero value is unlimited. The
 	// wall clock is governed by JobTimeout.
 	Limits guard.Limits
-	// Store is the persistent result store; nil disables cross-restart
-	// memoization (in-process caching still applies).
+	// Store is the persistent result store and the server's only result
+	// cache: its memory front is the only in-process tier. Nil (with no
+	// Cluster) analyzes every job afresh and reuses nothing.
 	Store *store.Store
 	// Cluster, when non-nil, turns this node into one member of a
 	// sharded fleet: sync requests route to each key's ring owner and
@@ -143,7 +144,7 @@ const (
 type itemResult struct {
 	Key      string         // caller's item key ("" for single analyses)
 	StoreKey string         // content address of the result
-	Cached   bool           // served from cache without re-analysis
+	Cached   bool           // served from the store without re-analysis
 	Record   *report.Record // nil when Err != ""
 	Err      string
 	Node     string // fleet member that produced the result ("" = this node, pre-cluster)
@@ -210,7 +211,6 @@ func (j *job) spanTree() *obs.Span {
 // Handler() on an http.Server, and call Shutdown to drain.
 type Server struct {
 	cfg    Config
-	cache  *store.AnalysisCache
 	logger *slog.Logger
 	// backend is the persistent level requests read through: the local
 	// store alone, or the cluster's peer-routed view of it.
@@ -288,7 +288,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
-		cache:      store.NewAnalysisCache(backend),
 		backend:    backend,
 		logger:     cfg.Logger,
 		baseCtx:    ctx,
@@ -364,7 +363,7 @@ type replayOutcome struct {
 }
 
 // replayEvents folds journal events into jobs. Terminal results are
-// rehydrated from the content-addressed backend when it still holds
+// read back from the content-addressed backend when it still holds
 // the record — on a fleet member that read goes through the owning
 // peer, since write-through placed the record on the key's owner, not
 // necessarily on the node that ran the job. A missing record leaves
@@ -610,27 +609,33 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 	ctx = obs.WithSpan(ctx, root)
 
+	// The result store is the only cache: a hit serves the stored
+	// record as it is; a miss runs the pipeline and commits its record
+	// before the terminal journal entry below.
 	bo := core.BatchOptions{
 		Options:  j.opts,
 		Parallel: 1, // items of one job run sequentially; jobs are the unit of concurrency
-		Cache:    s.cache,
 	}
-	results := core.AnalyzeBatch(ctx, bo, j.items...)
-
-	out := make([]itemResult, len(results))
+	out := make([]itemResult, len(j.items))
 	failed := false
-	for i, r := range results {
-		out[i] = itemResult{
-			Key:      j.items[i].Key,
-			StoreKey: core.AnalysisKey(j.items[i].Sources, j.opts),
-			Cached:   r.Cached,
+	for i, it := range j.items {
+		key := core.AnalysisKey(it.Sources, j.opts)
+		out[i] = itemResult{Key: it.Key, StoreKey: key}
+		if rec, ok := s.backend.Get(key); ok {
+			out[i].Cached, out[i].Record = true, rec
+			continue
 		}
+		r := core.AnalyzeBatch(ctx, bo, it)[0]
 		if r.Err != nil {
 			out[i].Err = r.Err.Error()
 			failed = true
 			continue
 		}
 		out[i].Record = report.FromAnalysis(r.Analysis)
+		if !r.Analysis.Incomplete {
+			// Best-effort: a failed write degrades reuse, not the job.
+			_ = s.backend.Put(key, out[i].Record)
+		}
 	}
 
 	status := statusDone

@@ -307,7 +307,7 @@ func TestHealthAndMetrics(t *testing.T) {
 		"soteriad_inflight_jobs 0",
 		"soteriad_jobs_done_total 1",
 		"soteriad_store_puts_total 1",
-		"soteriad_cache_misses_total",
+		"soteriad_store_misses_total",
 		"soteriad_store_corrupt_total 0",
 	} {
 		if !strings.Contains(text, want) {

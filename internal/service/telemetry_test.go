@@ -188,8 +188,9 @@ func TestTimingsEmbeddedInRecord(t *testing.T) {
 		t.Fatalf("root span has no phase children: %v", span)
 	}
 
-	// The same submission without timings — served from cache — must
-	// return the identical stored record with no timing envelope.
+	// The same submission without timings — analyzed again, since this
+	// server has no store — must return an identical record with no
+	// timing envelope.
 	resp2, body2 := postJSON(t, ts.URL+"/v1/analyze", map[string]any{
 		"name": "smoke-alarm", "source": paperapps.SmokeAlarm,
 	})

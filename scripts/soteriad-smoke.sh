@@ -192,7 +192,7 @@ grep -q 'slow job' "$workdir/d4.log" \
 
 # The exposition validator passes with every telemetry family present.
 go run ./scripts/promlint -url "$base4/metrics" -require \
-    soteriad_job_seconds,soteriad_queue_wait_seconds,soteriad_phase_seconds,soteriad_engine_check_seconds,soteriad_memo_lookups_total,soteriad_jobs_replayed_total,soteriad_slow_jobs_total
+    soteriad_job_seconds,soteriad_queue_wait_seconds,soteriad_phase_seconds,soteriad_engine_check_seconds,soteriad_memo_lookups_total,soteriad_jobs_replayed_total,soteriad_slow_jobs_total,soteriad_store_hits_total,soteriad_store_misses_total
 
 # pprof answers on its own listener, not the API address.
 curl -fsS "http://$pprof_addr/debug/pprof/" | grep -q goroutine \

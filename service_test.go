@@ -59,7 +59,7 @@ func TestServiceQuickstart(t *testing.T) {
 	}
 	rec, ok := first["result"].(map[string]any)
 	if !ok || rec["schema"] != float64(2) {
-		t.Fatalf("no schema-1 record in response: %v", first)
+		t.Fatalf("no schema-2 record in response: %v", first)
 	}
 	shutdown(svc)
 

@@ -603,7 +603,7 @@ type Service = service.Server
 
 // ServiceConfig configures NewService. The zero value is serviceable:
 // sensible defaults fill in workers, queue depth, timeouts, and size
-// caps; an empty StoreDir disables cross-restart persistence.
+// caps; an empty StoreDir (with no Peers) disables result reuse.
 type ServiceConfig struct {
 	// Workers is the number of concurrent analysis workers
 	// (0 = GOMAXPROCS).
@@ -618,8 +618,9 @@ type ServiceConfig struct {
 	MaxBodyBytes int64
 	// Limits are per-job resource limits; the zero value is unlimited.
 	Limits Limits
-	// StoreDir roots the persistent result store; "" keeps memoization
-	// in-process only.
+	// StoreDir roots the persistent result store, the service's only
+	// result cache; "" (with no Peers) analyzes every job afresh and
+	// reuses nothing.
 	StoreDir string
 	// JournalPath enables the durable job journal ("" disables): every
 	// accepted job is fsynced into it before its acknowledgment, and on
