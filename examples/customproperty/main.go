@@ -1,7 +1,9 @@
 // Custom properties: beyond the built-in S.1–S.5 and P.1–P.30
 // catalogue, Soteria checks any CTL formula over the extracted state
 // model. Atomic propositions are "capability.attribute=value" state
-// facts and "ev:<event>" markers on states entered via an event.
+// facts and "ev:<event>" markers on states entered via an event. The
+// built-in P.1–P.30 rules are written in the same CTL text (see
+// internal/properties/catalogue.go), so a policy can start from one.
 //
 // This example analyzes a garage-automation app against three
 // user-written policies and prints the model in Graphviz and NuSMV

@@ -471,15 +471,8 @@ func (a *Analysis) SMV() string {
 		return ""
 	}
 	var specs []ctl.Formula
-	for _, prop := range properties.Catalogue() {
-		for _, variant := range prop.Variants {
-			if !variant.Applicable(a.Model) {
-				continue
-			}
-			if f, ok := variant.Build(a.Model); ok {
-				specs = append(specs, f)
-			}
-		}
+	for _, pf := range properties.Formulas(a.Model, nil) {
+		specs = append(specs, pf.Formula)
 	}
 	return smv.Emit(a.Model, specs)
 }

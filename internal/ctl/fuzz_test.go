@@ -31,15 +31,8 @@ func catalogueSeeds() []string {
 		if err != nil {
 			continue
 		}
-		for _, p := range properties.Catalogue() {
-			for _, v := range p.Variants {
-				if !v.Applicable(m) {
-					continue
-				}
-				if f, ok := v.Build(m); ok {
-					out = append(out, f.String())
-				}
-			}
+		for _, pf := range properties.Formulas(m, nil) {
+			out = append(out, pf.Formula.String())
 		}
 	}
 	return out

@@ -108,9 +108,10 @@ func TestEveryVariantDigest(t *testing.T) {
 	var b strings.Builder
 	for _, om := range oracleModels(t) {
 		fmt.Fprintf(&b, "== %s\n", om.name)
+		markers := eventMarkers(om.m)
 		for _, p := range Catalogue() {
 			for vi, v := range p.Variants {
-				f, ok := v.Build(om.m)
+				f, ok := v.formula(om.m, markers)
 				if !ok {
 					fmt.Fprintf(&b, "%s/%d vacuous\n", p.ID, vi)
 					continue

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/soteria-analysis/soteria/internal/capability"
 	"github.com/soteria-analysis/soteria/internal/groovy"
 	"github.com/soteria-analysis/soteria/internal/guard"
 	"github.com/soteria-analysis/soteria/internal/ir"
@@ -384,7 +385,7 @@ func complementEvents(a, b *pathInfo) bool {
 	}
 	i := strings.LastIndex(a.trigKey, ".")
 	capName, attrName := a.trigKey[:i], a.trigKey[i+1:]
-	c, ok := capLookup(capName)
+	c, ok := capability.Lookup(capName)
 	if !ok {
 		return false
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/soteria-analysis/soteria/internal/ctl"
 	"github.com/soteria-analysis/soteria/internal/ir"
 	"github.com/soteria-analysis/soteria/internal/kripke"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
@@ -384,6 +385,7 @@ func TestCatalogueComplete(t *testing.T) {
 		t.Fatalf("catalogue has %d properties, want 30", len(cat))
 	}
 	seen := map[string]bool{}
+	builders := 0
 	for i, p := range cat {
 		want := "P." + itoa(i+1)
 		if p.ID != want {
@@ -396,11 +398,28 @@ func TestCatalogueComplete(t *testing.T) {
 		if p.Description == "" || len(p.Variants) == 0 {
 			t.Errorf("%s: missing description or variants", p.ID)
 		}
-		for _, v := range p.Variants {
-			if len(v.Caps) == 0 || v.Build == nil {
-				t.Errorf("%s: malformed variant", p.ID)
+		for vi, v := range p.Variants {
+			if v.builder != nil {
+				builders++
+			}
+			if len(v.Caps) == 0 || (len(v.Rules) > 0) == (v.builder != nil) {
+				t.Errorf("%s/%d: want caps and exactly one of rules or a builder", p.ID, vi)
+			}
+			for _, r := range v.Rules {
+				if !strings.HasPrefix(r.Trigger, "ev:") {
+					t.Errorf("%s/%d: trigger %q is not an event marker prefix", p.ID, vi, r.Trigger)
+				}
+				// The catalogue text is what violation details print.
+				if got := ctl.MustParse(r.Then).String(); got != r.Then {
+					t.Errorf("%s/%d: Then %s is not in canonical form %s", p.ID, vi, r.Then, got)
+				}
 			}
 		}
+	}
+	// Only variants over the model's value domains (P.15, P.16, P.18,
+	// P.22) need Go; everything else is a rule.
+	if builders != 4 {
+		t.Errorf("catalogue has %d Go builders, want 4", builders)
 	}
 	if _, ok := PropertyByID("P.17"); !ok {
 		t.Error("PropertyByID failed")

@@ -17,14 +17,6 @@ type SweepOptions struct {
 	IDs []string
 }
 
-// sweepTask is one (property, variant) formula to decide. Tasks are
-// enumerated, checked and merged back in catalogue order.
-type sweepTask struct {
-	prop    int // Catalogue() index
-	id      string
-	formula ctl.Formula
-}
-
 // CheckAppSpecificOpts sweeps the catalogue under SweepOptions,
 // deciding each applicable variant's formula with check. A variant
 // failure is contained: the property is marked undecided and the sweep
@@ -32,39 +24,12 @@ type sweepTask struct {
 // property. Every formula is built before the first check runs, so a
 // checker's own timing measures checks only.
 func CheckAppSpecificOpts(m *statemodel.Model, check PropertyChecker, o SweepOptions) AppSpecificReport {
-	cat := Catalogue()
-
-	var want map[string]bool
-	if len(o.IDs) > 0 {
-		want = make(map[string]bool, len(o.IDs))
-		for _, id := range o.IDs {
-			want[id] = true
-		}
-	}
-
-	var tasks []sweepTask
-	for pi, prop := range cat {
-		if want != nil && !want[prop.ID] {
-			continue
-		}
-		for _, variant := range prop.Variants {
-			if !variant.Applicable(m) {
-				continue
-			}
-			f, ok := variant.Build(m)
-			if !ok {
-				continue
-			}
-			tasks = append(tasks, sweepTask{prop: pi, id: prop.ID, formula: f})
-		}
-	}
-
+	tasks := Formulas(m, o.IDs)
 	outcomes := make([]PropertyOutcome, len(tasks))
 	for i, task := range tasks {
-		outcomes[i] = checkContained(check, task.id, task.formula)
+		outcomes[i] = checkContained(check, task.ID, task.Formula)
 	}
-
-	return mergeOutcomes(m, cat, tasks, outcomes)
+	return mergeOutcomes(m, tasks, outcomes)
 }
 
 // checkContained runs one check inside a recovery boundary: a panic
@@ -86,7 +51,7 @@ func checkContained(check PropertyChecker, id string, f ctl.Formula) (out Proper
 
 // mergeOutcomes folds per-variant outcomes back into a report in
 // catalogue order.
-func mergeOutcomes(m *statemodel.Model, cat []AppProperty, tasks []sweepTask, outcomes []PropertyOutcome) AppSpecificReport {
+func mergeOutcomes(m *statemodel.Model, tasks []PropertyFormula, outcomes []PropertyOutcome) AppSpecificReport {
 	var rep AppSpecificReport
 	appNames := make([]string, len(m.Apps))
 	for i, am := range m.Apps {
@@ -94,10 +59,10 @@ func mergeOutcomes(m *statemodel.Model, cat []AppProperty, tasks []sweepTask, ou
 	}
 	seen := map[string]bool{}
 	ti := 0
-	for pi, prop := range cat {
+	for _, prop := range catalogue {
 		applicable, decided := false, true
-		for ti < len(tasks) && tasks[ti].prop == pi {
-			out, f := outcomes[ti], tasks[ti].formula
+		for ti < len(tasks) && tasks[ti].ID == prop.ID {
+			out, f := outcomes[ti], tasks[ti].Formula
 			ti++
 			applicable = true
 			rep.Diagnostics = append(rep.Diagnostics, out.Diagnostics...)

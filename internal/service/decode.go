@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
+	"slices"
 	"time"
 
 	"github.com/soteria-analysis/soteria/internal/core"
@@ -114,20 +114,6 @@ func decodeJSON(data []byte, dst any) *httpError {
 	return nil
 }
 
-// catalogueIDs memoizes the valid property-ID set: the app-specific
-// catalogue plus the taint family (exact IDs and the "T.*" wildcard).
-var catalogueIDs = sync.OnceValue(func() map[string]bool {
-	ids := map[string]bool{}
-	for _, p := range properties.Catalogue() {
-		ids[p.ID] = true
-	}
-	for _, id := range taint.IDs() {
-		ids[id] = true
-	}
-	ids["T.*"] = true
-	return ids
-})
-
 // validateSources checks a request's app list against the per-source
 // size cap and non-emptiness.
 func validateSources(apps []appSource, maxSource int, where string) *httpError {
@@ -165,9 +151,10 @@ func (s *Server) coreOptions(o requestOptions) (core.Options, *httpError) {
 	if !opts.General && !opts.AppSpecific && !opts.Taint {
 		return opts, badRequest("options: nothing to check (general, app_specific, and taint all disabled)")
 	}
-	valid := catalogueIDs()
+	// Valid IDs: the app-specific catalogue plus the taint family
+	// (exact IDs and the "T.*" wildcard).
 	for _, id := range o.Properties {
-		if !valid[id] {
+		if _, ok := properties.PropertyByID(id); !ok && id != "T.*" && !slices.Contains(taint.IDs(), id) {
 			return opts, badRequest("options: unknown property ID %q", id)
 		}
 	}

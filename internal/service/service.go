@@ -654,6 +654,14 @@ func (s *Server) runJob(j *job) {
 	root.Set("status", string(status))
 	root.End()
 	elapsed := root.Duration()
+	// Everything /metrics reports about this job lands before close
+	// publishes its response, so a client that scrapes after reading
+	// its result always sees its own job counted.
+	s.recordTelemetry(root)
+	slow := s.cfg.SlowJobThreshold > 0 && elapsed >= s.cfg.SlowJobThreshold
+	if slow {
+		s.slowJobs.Add(1)
+	}
 	j.mu.Lock()
 	j.status = status
 	j.results = out
@@ -661,19 +669,19 @@ func (s *Server) runJob(j *job) {
 	j.span = root
 	j.mu.Unlock()
 	close(j.done)
-	s.recordTelemetry(root)
-	// The terminal entry is appended after the results landed in the
-	// store, so replay never sees "done" without its record bytes. A
-	// failed append degrades durability of this one completion (the
-	// job would re-run after a crash — and hit the store), not the job.
+	// Only the terminal journal entry and the log lines may lag the
+	// response; the API reads neither. The terminal entry is appended
+	// after the results landed in the store, so replay never sees
+	// "done" without its record bytes. A crash before it lands, or a
+	// failed append, only makes replay re-run the job (a store hit
+	// when a store is configured).
 	if err := s.journal.append(terminalEvent(j, status, out, elapsed)); err != nil {
 		s.logger.Error("journal terminal append failed", "job", j.id, "trace", j.trace, "error", err)
 	}
 	s.logger.Info("job finished",
 		"job", j.id, "trace", j.trace, "status", string(status),
 		"elapsed_ms", elapsed.Milliseconds(), "items", len(j.items))
-	if s.cfg.SlowJobThreshold > 0 && elapsed >= s.cfg.SlowJobThreshold {
-		s.slowJobs.Add(1)
+	if slow {
 		s.logger.Warn("slow job",
 			"job", j.id, "trace", j.trace, "elapsed_ms", elapsed.Milliseconds(),
 			"threshold_ms", s.cfg.SlowJobThreshold.Milliseconds(),

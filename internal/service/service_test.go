@@ -226,6 +226,7 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown field", `{"name":"x","source":"y","nope":1}`, http.StatusBadRequest},
 		{"trailing", `{"name":"x","source":"y"}{}`, http.StatusBadRequest},
 		{"bad property", `{"name":"x","source":"y","options":{"properties":["P.999"]}}`, http.StatusBadRequest},
+		{"known properties", `{"name":"x","source":"y","options":{"properties":["P.10","T.2","T.*"]}}`, http.StatusOK},
 		{"negative timeout", `{"name":"x","source":"y","options":{"timeout_ms":-1}}`, http.StatusBadRequest},
 		{"removed parallel option", `{"name":"x","source":"y","options":{"parallel":2}}`, http.StatusBadRequest},
 		{"nothing to check", `{"name":"x","source":"y","options":{"general":false,"app_specific":false,"taint":false}}`, http.StatusBadRequest},
