@@ -46,16 +46,16 @@
 // kill-restart test harness, never for production.
 //
 // With -peers, N soteriad processes form one fleet: a consistent-hash
-// ring over analysis keys assigns each key an owning node, requests
-// route to their owner (federating batch results across nodes), and
-// the result store reads and writes through the owning replica. Every
-// node must be started with the same -peers list; membership is
-// static, and an unreachable owner degrades to local analysis rather
-// than failing the request.
+// ring over analysis keys assigns each key an owning node, and sync
+// requests route to their owner (federating batch results across
+// nodes). Each node's result store is local: a record lives on the
+// node that analyzed it. Every node must be started with the same
+// -peers list; membership is static, and an unreachable owner
+// degrades to local analysis rather than failing the request.
 //
 // Endpoints: POST /v1/analyze, POST /v1/batch, GET /v1/jobs/{id},
-// GET+PUT /v1/results/{hash}, GET /v1/cluster/status, GET /healthz,
-// GET /metrics. On SIGTERM or
+// GET /v1/results/{hash} (this node's store only), GET
+// /v1/cluster/status, GET /healthz, GET /metrics. On SIGTERM or
 // SIGINT the daemon stops accepting work, drains queued and in-flight
 // jobs (up to -drain-timeout, after which their budgets are canceled
 // and they finish as partial results), then exits.

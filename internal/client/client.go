@@ -354,14 +354,6 @@ func (c *Client) ForwardRaw(ctx context.Context, path string, body []byte, trace
 	return &j, nil
 }
 
-// PutResult stores a record on this client's daemon under key. The
-// cluster's peer-routed store backend uses it to write results through
-// to the key's owning replica, so a cache hit survives whichever node
-// the next request for that key lands on.
-func (c *Client) PutResult(ctx context.Context, key string, rec *report.Record) error {
-	return c.do(ctx, http.MethodPut, "/v1/results/"+key, rec, nil, nil)
-}
-
 // Poll fetches a job's current state by ID.
 func (c *Client) Poll(ctx context.Context, jobID string) (*Job, error) {
 	var j Job

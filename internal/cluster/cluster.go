@@ -8,7 +8,6 @@ import (
 
 	"github.com/soteria-analysis/soteria/internal/client"
 	"github.com/soteria-analysis/soteria/internal/obs"
-	"github.com/soteria-analysis/soteria/internal/report"
 )
 
 // Config describes one node's view of the fleet. Every node is
@@ -25,35 +24,24 @@ type Config struct {
 	// ForwardTimeout bounds one forwarded request end to end, analysis
 	// included (default 2m).
 	ForwardTimeout time.Duration
-	// StoreTimeout bounds one peer store read or write. These sit on
-	// the analysis hot path, so the default is short (2s): a slow peer
-	// degrades to a local cache miss, not a slow request.
-	StoreTimeout time.Duration
 	// HTTPClient overrides the transport for peer clients (tests).
 	HTTPClient *http.Client
 }
 
-// peer is this node's view of one fleet member: two clients with
-// different resilience budgets, plus routing telemetry.
+// peer is this node's view of one fleet member: a forwarding client
+// plus routing telemetry.
 type peer struct {
 	node string
 
 	// fwd forwards whole requests: generous timeout, one retry, and a
 	// breaker so a dead peer costs one failed dial, not one per request.
 	fwd *client.Client
-	// st serves store reads/writes: single attempt, short timeout — a
-	// miss is cheaper than a wait.
-	st *client.Client
 
 	routeHist *obs.Histogram
 
 	forwards    atomic.Int64 // requests forwarded to this peer
 	forwardErrs atomic.Int64 // forwards that failed (fallback taken)
 	fallbacks   atomic.Int64 // keys served locally because this owner was unreachable
-	storeGets   atomic.Int64 // remote store reads attempted
-	storeHits   atomic.Int64 // remote store reads that returned a record
-	storePuts   atomic.Int64 // remote store writes attempted
-	storePutErr atomic.Int64 // remote store writes that failed
 }
 
 // Cluster is one node's routing state: the ring plus a client per
@@ -65,7 +53,6 @@ type Cluster struct {
 	peers map[string]*peer // remote members only (not self)
 
 	forwardTimeout time.Duration
-	storeTimeout   time.Duration
 }
 
 // New builds a Cluster from cfg. A single-member fleet (Peers == [Self])
@@ -89,15 +76,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.ForwardTimeout <= 0 {
 		cfg.ForwardTimeout = 2 * time.Minute
 	}
-	if cfg.StoreTimeout <= 0 {
-		cfg.StoreTimeout = 2 * time.Second
-	}
 	c := &Cluster{
 		self:           cfg.Self,
 		ring:           ring,
 		peers:          make(map[string]*peer),
 		forwardTimeout: cfg.ForwardTimeout,
-		storeTimeout:   cfg.StoreTimeout,
 	}
 	for _, m := range ring.Members() {
 		if m == cfg.Self {
@@ -119,20 +102,9 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := client.New(client.Config{
-			BaseURL:          m,
-			HTTPClient:       cfg.HTTPClient,
-			MaxAttempts:      1,
-			BreakerThreshold: 3,
-			BreakerCooldown:  2 * time.Second,
-		})
-		if err != nil {
-			return nil, err
-		}
 		c.peers[m] = &peer{
 			node:      m,
 			fwd:       fwd,
-			st:        st,
 			routeHist: obs.NewHistogram(obs.DefaultLatencyBounds()),
 		}
 	}
@@ -156,12 +128,6 @@ func (c *Cluster) Owner(key string) string { return c.ring.Owner(key) }
 
 // IsLocal reports whether this node owns key.
 func (c *Cluster) IsLocal(key string) bool { return c.ring.Owner(key) == c.self }
-
-// Remote reports whether node is a known member other than self.
-func (c *Cluster) Remote(node string) bool {
-	_, ok := c.peers[node]
-	return ok
-}
 
 // Forward relays a pre-encoded analyze/batch body to node and returns
 // the owner's job response. The forwarded-hop marker is set so the
@@ -193,40 +159,6 @@ func (c *Cluster) NoteFallback(node string) {
 	}
 }
 
-// storeGet reads key from its remote owner's store. Misses and errors
-// are both "not found" — the Backend contract.
-func (c *Cluster) storeGet(node, key string) (*report.Record, bool) {
-	p, ok := c.peers[node]
-	if !ok {
-		return nil, false
-	}
-	p.storeGets.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), c.storeTimeout)
-	defer cancel()
-	rec, err := p.st.Result(ctx, key)
-	if err != nil || rec == nil {
-		return nil, false
-	}
-	p.storeHits.Add(1)
-	return rec, true
-}
-
-// storePut writes key's record to its remote owner's store.
-func (c *Cluster) storePut(node, key string, rec *report.Record) error {
-	p, ok := c.peers[node]
-	if !ok {
-		return errSelfNotMember(node)
-	}
-	p.storePuts.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), c.storeTimeout)
-	defer cancel()
-	if err := p.st.PutResult(ctx, key, rec); err != nil {
-		p.storePutErr.Add(1)
-		return err
-	}
-	return nil
-}
-
 // RouteSeries returns per-peer forward-latency histogram series for
 // the /metrics endpoint.
 func (c *Cluster) RouteSeries() []obs.Series {
@@ -246,13 +178,9 @@ type PeerStatus struct {
 	Share float64 `json:"share"` // exact arc-length ownership fraction
 
 	// Routing counters (zero for self: a node never routes to itself).
-	Forwards       int64 `json:"forwards,omitempty"`
-	ForwardErrors  int64 `json:"forward_errors,omitempty"`
-	Fallbacks      int64 `json:"fallbacks,omitempty"`
-	StoreGets      int64 `json:"store_gets,omitempty"`
-	StoreHits      int64 `json:"store_hits,omitempty"`
-	StorePuts      int64 `json:"store_puts,omitempty"`
-	StorePutErrors int64 `json:"store_put_errors,omitempty"`
+	Forwards      int64 `json:"forwards,omitempty"`
+	ForwardErrors int64 `json:"forward_errors,omitempty"`
+	Fallbacks     int64 `json:"fallbacks,omitempty"`
 }
 
 // Status is this node's cluster view, served on /v1/cluster/status.
@@ -278,10 +206,6 @@ func (c *Cluster) Status() Status {
 			ps.Forwards = p.forwards.Load()
 			ps.ForwardErrors = p.forwardErrs.Load()
 			ps.Fallbacks = p.fallbacks.Load()
-			ps.StoreGets = p.storeGets.Load()
-			ps.StoreHits = p.storeHits.Load()
-			ps.StorePuts = p.storePuts.Load()
-			ps.StorePutErrors = p.storePutErr.Load()
 		}
 		st.Peers = append(st.Peers, ps)
 	}

@@ -11,7 +11,7 @@ package cluster_test
 //     terminal "done" state after it restarts over the same journal —
 //     no accepted job is lost;
 //   - routing converges back: once the killed node is up again, the
-//     survivors' peer reads reach its shard (cache hits resume).
+//     survivors' forwards reach it and its store (cache hits resume).
 //
 // The harness mirrors internal/chaos: a once-compiled soteriad binary,
 // free-port probing, SIGKILL (never a drain), and log capture.
@@ -187,7 +187,7 @@ func TestFleetKillOneNodeMidLoad(t *testing.T) {
 
 	// Warm phase: find variants owned by (and analyzed on) the victim,
 	// observed via the response's node attribution. Their records live
-	// on the victim's shard — the convergence probes for later.
+	// in the victim's store — the convergence probes for later.
 	var victimOwned []int
 	for i := 0; i < 30 && len(victimOwned) < 2; i++ {
 		j, err := ca.Analyze(ctx, client.AnalyzeRequest{Apps: []client.App{variantApp(i)}})
@@ -276,8 +276,9 @@ func TestFleetKillOneNodeMidLoad(t *testing.T) {
 
 	// Routing converges: a survivor's resubmission of a victim-owned
 	// variant is served as a cache hit again, which requires a
-	// successful peer read from the restarted victim's shard. The
-	// forward breaker cools down in ~2s; poll past it.
+	// successful forward to the restarted victim, whose store still
+	// holds the record. The forward breaker cools down in ~2s; poll
+	// past it.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		j, err := ca.Analyze(ctx, client.AnalyzeRequest{Apps: []client.App{variantApp(victimOwned[0])}})

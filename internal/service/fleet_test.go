@@ -242,7 +242,8 @@ func TestFleetForwardsToOwner(t *testing.T) {
 		t.Fatalf("origin's shard holds %s although the owner was healthy", key)
 	}
 
-	// The origin can now answer for the key from the owner's cache.
+	// A resubmission to the origin forwards again, and the owner
+	// answers from its store.
 	resp, body = postJSON(t, f.urls[0]+"/v1/analyze", map[string]any{"name": app.ID, "source": app.Source})
 	if resp.StatusCode != http.StatusOK || body["cached"] != true {
 		t.Fatalf("resubmission not served from fleet cache: %d %v", resp.StatusCode, body)
@@ -278,15 +279,15 @@ func TestFleetLoopGuard(t *testing.T) {
 	if f.servers[0].routeForwards.Load() != 0 {
 		t.Fatal("receiving node re-forwarded a marked request")
 	}
-	// The analysis RAN on the receiving node (no second hop), but the
-	// result still writes through to the key's ring owner — requests
-	// stop at one hop, records always land on their owner.
+	// The analysis ran on the receiving node (no second hop), so its
+	// record lives there: a record is written only by the node that
+	// analyzed it, never copied to the ring owner.
 	key, _ := body["key"].(string)
-	if _, ok := f.servers[1].cfg.Store.Get(key); !ok {
-		t.Fatal("result did not write through to the ring owner's shard")
+	if _, ok := f.servers[0].cfg.Store.Get(key); !ok {
+		t.Fatal("record is not in the receiving node's store")
 	}
-	if _, ok := f.servers[0].cfg.Store.Get(key); ok {
-		t.Fatal("result parked on the non-owner although the owner is healthy")
+	if _, ok := f.servers[1].cfg.Store.Get(key); ok {
+		t.Fatal("record reached the ring owner's store although the owner never analyzed it")
 	}
 }
 
@@ -366,12 +367,13 @@ func TestFleetClusterStatus(t *testing.T) {
 	}
 }
 
-// TestFleetPutAndGetResultLocalOnly: PUT /v1/results writes the LOCAL
-// shard even for keys the ring assigns elsewhere, and GET reads only
-// the local shard — the store layer's loop guard.
-func TestFleetPutAndGetResultLocalOnly(t *testing.T) {
+// TestFleetGetResultLocalOnly: GET /v1/results reads only the local
+// store, even for keys the ring assigns elsewhere, and there is no PUT:
+// no node accepts a record it did not produce.
+func TestFleetGetResultLocalOnly(t *testing.T) {
 	f := newFleet(t, 2, func(int) Config { return storeConfig(t) })
-	// A key owned by node 1, written to node 0.
+	// A key owned by node 1, held by node 0 (as after an owner-down
+	// fallback).
 	var key string
 	for i := 0; ; i++ {
 		key = fmt.Sprintf("%064x", i)
@@ -381,32 +383,43 @@ func TestFleetPutAndGetResultLocalOnly(t *testing.T) {
 	}
 	rec := &report.Record{Schema: report.Schema, Apps: []string{"x"},
 		Violations: []report.Violation{}, Checked: []string{}, Diagnostics: []report.Diagnostic{}}
+	if err := f.servers[0].cfg.Store.Put(key, rec); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	for _, c := range []struct {
+		url  string
+		want int
+	}{
+		{f.urls[0], http.StatusOK},       // the node holding the record
+		{f.urls[1], http.StatusNotFound}, // the owner has no copy: 404, not a route
+	} {
+		resp, err := http.Get(c.url + "/v1/results/" + key)
+		if err != nil {
+			t.Fatalf("get: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("GET %s: status %d, want %d", c.url, resp.StatusCode, c.want)
+		}
+	}
+
 	data, err := report.Encode(rec)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	req, _ := http.NewRequest(http.MethodPut, f.urls[0]+"/v1/results/"+key, bytes.NewReader(data))
+	other := fmt.Sprintf("%064x", 1<<40)
+	req, _ := http.NewRequest(http.MethodPut, f.urls[1]+"/v1/results/"+other, bytes.NewReader(data))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("put status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("PUT status %d, want 405", resp.StatusCode)
 	}
-	if _, ok := f.servers[0].cfg.Store.Get(key); !ok {
-		t.Fatal("PUT did not land in the local shard")
-	}
-	if _, ok := f.servers[1].cfg.Store.Get(key); ok {
-		t.Fatal("PUT was routed to the ring owner")
-	}
-	// GET on the owner (which has no copy) is a 404, not a route.
-	resp, err = http.Get(f.urls[1] + "/v1/results/" + key)
-	if err != nil {
-		t.Fatalf("get: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("owner GET status %d, want 404", resp.StatusCode)
+	for i, s := range f.servers {
+		if _, ok := s.cfg.Store.Get(other); ok {
+			t.Fatalf("PUT wrote a record into node %d's store", i)
+		}
 	}
 }

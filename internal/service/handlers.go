@@ -25,7 +25,6 @@ const TraceHeader = "X-Soteria-Trace"
 //	POST /v1/batch          analyze many items in one job
 //	GET  /v1/jobs/{id}      poll an async job
 //	GET  /v1/results/{hash} look up a stored record by content address
-//	PUT  /v1/results/{hash} park a record in this node's local store
 //	GET  /v1/cluster/status fleet membership, shares, routing counters
 //	GET  /healthz           liveness (503 while draining)
 //	GET  /metrics           Prometheus text metrics
@@ -35,7 +34,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/results/{hash}", s.handleResult)
-	mux.HandleFunc("PUT /v1/results/{hash}", s.handlePutResult)
 	mux.HandleFunc("GET /v1/cluster/status", s.handleClusterStatus)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -333,14 +331,12 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 	}
 }
 
-// finishFromStore serves a whole job from the persistent backend —
-// the local store, or the fleet's peer-routed view of it, so a node
-// answers from any replica's cache before analyzing or forwarding.
-// All items must hit; a partial hit set still queues the job (the
-// worker serves the stored items from the backend and analyzes the
-// rest).
+// finishFromStore serves a whole job from this node's store, before
+// any analysis or forward. All items must hit; a partial hit set still
+// queues the job (the worker serves the stored items from the store
+// and analyzes the rest).
 func (s *Server) finishFromStore(j *job) bool {
-	if s.cfg.Store == nil && s.cfg.Cluster == nil {
+	if s.cfg.Store == nil {
 		return false
 	}
 	root := obs.NewRoot("job")
@@ -349,7 +345,7 @@ func (s *Server) finishFromStore(j *job) bool {
 	results := make([]itemResult, len(j.items))
 	for i, it := range j.items {
 		key := core.AnalysisKey(it.Sources, j.opts)
-		rec, ok := s.backend.Get(key)
+		rec, ok := s.cfg.Store.Get(key)
 		if !ok {
 			return false
 		}
@@ -378,11 +374,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	respondJob(w, http.StatusOK, j)
 }
 
-// handleResult serves GET /v1/results/{hash} straight from the LOCAL
-// store — deliberately not the cluster backend. Peers resolve a key by
-// asking its owner on this endpoint, so an owner answering from its
-// own disk (and never re-routing) is what terminates every cross-node
-// read in one hop.
+// handleResult serves GET /v1/results/{hash} from this node's store
+// only; it never routes. There is no write counterpart: a record is
+// written only by the node whose analysis produced it.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	rec, ok := s.cfg.Store.Get(hash)

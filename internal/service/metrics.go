@@ -68,17 +68,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("soteriad_cluster_members", "Fleet members in this node's ring.", int64(st.Members))
 		counter("soteriad_cluster_forwards_total", "Requests (or batch groups) forwarded to their ring owner.", s.routeForwards.Load())
 		counter("soteriad_cluster_fallbacks_total", "Owner-unreachable groups served locally instead.", s.routeFallbacks.Load())
-		var gets, hits, puts, putErrs int64
-		for _, p := range st.Peers {
-			gets += p.StoreGets
-			hits += p.StoreHits
-			puts += p.StorePuts
-			putErrs += p.StorePutErrors
-		}
-		counter("soteriad_cluster_store_gets_total", "Result reads routed to owning peers.", gets)
-		counter("soteriad_cluster_store_hits_total", "Peer-routed result reads that hit.", hits)
-		counter("soteriad_cluster_store_puts_total", "Result writes routed to owning peers.", puts)
-		counter("soteriad_cluster_store_put_errors_total", "Peer-routed writes that fell back to the local store.", putErrs)
 		obs.WriteHistogramProm(&b, "soteriad_route_seconds",
 			"Forwarded-request latency per peer (analysis included).",
 			cl.RouteSeries()...)

@@ -12,8 +12,6 @@ import (
 	"github.com/soteria-analysis/soteria/internal/client"
 	"github.com/soteria-analysis/soteria/internal/cluster"
 	"github.com/soteria-analysis/soteria/internal/core"
-	"github.com/soteria-analysis/soteria/internal/report"
-	"github.com/soteria-analysis/soteria/internal/store"
 )
 
 // ForwardedHeader marks a request that already crossed one routing hop
@@ -29,7 +27,9 @@ const ForwardedHeader = "X-Soteria-Forwarded"
 // the single owner was unreachable (degrade to local, don't fail).
 //
 // Async jobs always run locally: the poll handle in the 202 response
-// names this node's job table, so the job must live here.
+// names this node's job table, so the job must live here, and so does
+// its record. A later sync request for the same key sent to another
+// node is forwarded to the owner, which analyzes it once itself.
 func (s *Server) maybeRoute(w http.ResponseWriter, r *http.Request, j *job) bool {
 	cl := s.cfg.Cluster
 	if cl == nil || j.forwarded || j.async {
@@ -279,34 +279,4 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 		resp.Status = cluster.Status{Members: 1}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handlePutResult serves PUT /v1/results/{hash}: a peer (or operator)
-// parking a record on this node. Writes land in the LOCAL store only —
-// never routed — which is the store layer's loop guard: a peer's write
-// terminates here, whatever this node's ring says. The key is not
-// re-derived from the record (a record alone cannot reproduce its
-// analysis key, which hashes sources and options), but it must be a
-// well-formed store key and the record a valid current-schema record.
-func (s *Server) handlePutResult(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	if !store.ValidKey(hash) {
-		writeError(w, http.StatusBadRequest, "invalid result key %q", hash)
-		return
-	}
-	data, herr := s.readBody(w, r)
-	if herr != nil {
-		writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	rec, err := report.Decode(data)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid record: %v", err)
-		return
-	}
-	if err := s.cfg.Store.Put(hash, rec); err != nil {
-		writeError(w, http.StatusInternalServerError, "storing record: %v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }

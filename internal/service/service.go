@@ -7,13 +7,17 @@
 //	POST /v1/analyze ──▶ validate ──▶ store lookup ──hit──▶ 200 (cached)
 //	                                      │miss
 //	                                      ▼
+//	                    owned by a peer? ──yes──▶ forward ──▶ owner's 200
+//	                                      │no, async, already forwarded,
+//	                                      │or owner unreachable
+//	                                      ▼
 //	                          bounded queue ──full──▶ 429 + Retry-After
 //	                                      │
 //	                                      ▼
 //	                   worker pool (guard budgets, panic isolation)
 //	                                      │
 //	                                      ▼
-//	                       store write-through ──▶ 200 / 202+poll
+//	                      local store write ──▶ 200 / 202+poll
 //
 // Every analysis runs inside the resilience layer of PR 1 — resource
 // budgets, cooperative cancellation, recovery boundaries — so a
@@ -48,7 +52,7 @@ import (
 
 // Config configures a Server. The zero value is serviceable: defaults
 // fill in workers, queue depth, timeouts, and size caps; Store may be
-// nil, and then (with no Cluster) nothing is reused.
+// nil, and then this node reuses nothing.
 type Config struct {
 	// Workers is the number of concurrent analysis workers (default
 	// GOMAXPROCS).
@@ -70,14 +74,15 @@ type Config struct {
 	// wall clock is governed by JobTimeout.
 	Limits guard.Limits
 	// Store is the persistent result store and the server's only result
-	// cache: its memory front is the only in-process tier. Nil (with no
-	// Cluster) analyzes every job afresh and reuses nothing.
+	// cache: its memory front is the only in-process tier. It is purely
+	// local: only this node's own analyses write to it. Nil analyzes
+	// every job afresh and reuses nothing.
 	Store *store.Store
 	// Cluster, when non-nil, turns this node into one member of a
-	// sharded fleet: sync requests route to each key's ring owner and
-	// federate back, and the result store reads and writes through the
-	// owning replica (Store becomes the node's local shard). Nil keeps
-	// the single-node behavior unchanged.
+	// fleet: sync requests route to each key's ring owner and federate
+	// back, so the owner analyzes the key and keeps its record. Async
+	// jobs, owner-down fallbacks and forwarded requests run and store
+	// here. Nil keeps the single-node behavior unchanged.
 	Cluster *cluster.Cluster
 	// JournalPath enables the durable job journal ("" disables): every
 	// accepted job is journaled and fsynced before its acknowledgment,
@@ -212,9 +217,6 @@ func (j *job) spanTree() *obs.Span {
 type Server struct {
 	cfg    Config
 	logger *slog.Logger
-	// backend is the persistent level requests read through: the local
-	// store alone, or the cluster's peer-routed view of it.
-	backend store.Backend
 
 	queue    chan *job
 	quiesce  sync.RWMutex // submitters hold R; Shutdown holds W to close queue
@@ -282,13 +284,8 @@ func New(cfg Config) (*Server, error) {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	var backend store.Backend = cfg.Store
-	if cfg.Cluster != nil {
-		backend = cfg.Cluster.Backend(cfg.Store)
-	}
 	s := &Server{
 		cfg:        cfg,
-		backend:    backend,
 		logger:     cfg.Logger,
 		baseCtx:    ctx,
 		cancel:     cancel,
@@ -314,7 +311,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.journal = jr
-		out := replayEvents(events, s.backend)
+		out := replayEvents(events, s.cfg.Store)
 		s.jobsReplayed.Store(int64(len(out.jobs)))
 		s.journalDupKeys.Store(int64(out.dupKeys))
 		for _, j := range out.jobs { // oldest first, so newest ends in front
@@ -363,13 +360,11 @@ type replayOutcome struct {
 }
 
 // replayEvents folds journal events into jobs. Terminal results are
-// read back from the content-addressed backend when it still holds
-// the record — on a fleet member that read goes through the owning
-// peer, since write-through placed the record on the key's owner, not
-// necessarily on the node that ran the job. A missing record leaves
+// read back from the local store when it still holds the record (the
+// node that ran a job wrote its record here). A missing record leaves
 // the result's store key and status; the verdict bytes are
 // re-derivable by resubmission.
-func replayEvents(events []journalEvent, st store.Backend) replayOutcome {
+func replayEvents(events []journalEvent, st *store.Store) replayOutcome {
 	out := replayOutcome{idem: map[string]*job{}}
 	byID := map[string]*job{}
 	rejected := map[string]bool{}
@@ -425,7 +420,7 @@ func replayEvents(events []journalEvent, st store.Backend) replayOutcome {
 			j.elapsed = time.Duration(ev.ElapsedMS) * time.Millisecond
 			for _, r := range ev.Results {
 				ir := itemResult{Key: r.Key, StoreKey: r.StoreKey, Cached: r.Cached, Err: r.Err}
-				if r.Err == "" && r.StoreKey != "" && st != nil {
+				if r.Err == "" && r.StoreKey != "" {
 					if rec, ok := st.Get(r.StoreKey); ok {
 						ir.Record = rec
 					}
@@ -621,7 +616,7 @@ func (s *Server) runJob(j *job) {
 	for i, it := range j.items {
 		key := core.AnalysisKey(it.Sources, j.opts)
 		out[i] = itemResult{Key: it.Key, StoreKey: key}
-		if rec, ok := s.backend.Get(key); ok {
+		if rec, ok := s.cfg.Store.Get(key); ok {
 			out[i].Cached, out[i].Record = true, rec
 			continue
 		}
@@ -634,7 +629,7 @@ func (s *Server) runJob(j *job) {
 		out[i].Record = report.FromAnalysis(r.Analysis)
 		if !r.Analysis.Incomplete {
 			// Best-effort: a failed write degrades reuse, not the job.
-			_ = s.backend.Put(key, out[i].Record)
+			_ = s.cfg.Store.Put(key, out[i].Record)
 		}
 	}
 

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/guard/faultinject"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
+	"github.com/soteria-analysis/soteria/internal/report"
 	"github.com/soteria-analysis/soteria/internal/store"
 )
 
@@ -332,5 +334,51 @@ func TestResultsEndpointRejectsBadHashes(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET /v1/results/%s: %d, want 404", hash, resp.StatusCode)
 		}
+	}
+}
+
+// TestClientCannotPlantVerdict: the store is written only by the node
+// that ran the analysis. A client PUTting a made-up record under the
+// key of a real app gets 405, and the next analysis of that app runs
+// the pipeline instead of serving the planted verdict.
+func TestClientCannotPlantVerdict(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatalf("store: %v", err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, Store: st})
+	opts, herr := s.coreOptions(requestOptions{})
+	if herr != nil {
+		t.Fatalf("coreOptions: %v", herr)
+	}
+	key := core.AnalysisKey([]core.NamedSource{{Name: "smoke-alarm", Source: paperapps.SmokeAlarm}}, opts)
+
+	planted, err := report.Encode(&report.Record{Schema: report.Schema, Apps: []string{"PLANTED"},
+		Violations: []report.Violation{}, Checked: []string{}, Diagnostics: []report.Diagnostic{}})
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/results/"+key, bytes.NewReader(planted))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("PUT: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("PUT /v1/results/{hash}: %d, want 405", resp.StatusCode)
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{"name": "smoke-alarm", "source": paperapps.SmokeAlarm})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze: %d %v", resp.StatusCode, body)
+	}
+	if body["key"] != key {
+		t.Fatalf("analysis key %v, want %s", body["key"], key)
+	}
+	if body["cached"] == true {
+		t.Fatalf("analysis served from the store although nothing analyzed it: %v", body)
+	}
+	if apps := fmt.Sprint(body["result"].(map[string]any)["apps"]); strings.Contains(apps, "PLANTED") {
+		t.Fatalf("analysis returned the planted record: apps %s", apps)
 	}
 }

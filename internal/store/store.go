@@ -13,8 +13,7 @@
 //     mid-write can replace a good record with a torn one.
 //   - Self-verifying records: every record carries a length-prefixed
 //     checksum header ("soteria-record 2 <len> <crc32>"), so torn or
-//     bit-rotted content is detected on read, not trusted. Records
-//     written before the header existed (bare JSON) are still read.
+//     bit-rotted content is detected on read, not trusted.
 //   - Corruption tolerance: a record that fails its checksum or does
 //     not decode is counted, quarantined into the quarantine/
 //     subdirectory with a reason suffix (never deleted — corrupt
@@ -172,7 +171,7 @@ func (s *Store) recover(scan bool) error {
 			}
 		case scan && strings.HasSuffix(name, ".json"):
 			key := strings.TrimSuffix(name, ".json")
-			if !ValidKey(key) {
+			if !validKey(key) {
 				continue
 			}
 			s.recovery.Scanned++
@@ -197,10 +196,10 @@ func (s *Store) Recovery() RecoveryStats {
 	return s.recovery
 }
 
-// ValidKey reports whether key is a well-formed content address
-// (lowercase hex, 16–128 chars). Used both internally and by the HTTP
-// layer to reject path-traversal attempts before they reach the disk.
-func ValidKey(key string) bool {
+// validKey reports whether key is a well-formed content address
+// (lowercase hex, 16–128 chars), so a key arriving over HTTP cannot
+// traverse paths before it reaches the disk.
+func validKey(key string) bool {
 	if len(key) < 16 || len(key) > 128 {
 		return false
 	}
@@ -241,17 +240,13 @@ func encodeRecord(payload []byte) []byte {
 }
 
 // decodeRecord verifies and decodes a record file. On failure it
-// returns the quarantine reason: "torn" for a truncated or
-// length-mismatched file, "badsum" for a checksum mismatch, "decode"
-// for content that fails report.Decode (including wrong schema).
+// returns the quarantine reason: "torn" for a file without a valid
+// header or with a length mismatch, "badsum" for a checksum mismatch,
+// "decode" for content that fails report.Decode (including wrong
+// schema).
 func decodeRecord(data []byte) (*report.Record, string, error) {
 	if !bytes.HasPrefix(data, []byte(recordMagic)) {
-		// Legacy record (pre-header store): bare canonical JSON.
-		rec, err := report.Decode(data)
-		if err != nil {
-			return nil, "decode", err
-		}
-		return rec, "", nil
+		return nil, "torn", fmt.Errorf("store: record has no header")
 	}
 	rest := data[len(recordMagic):]
 	nl := bytes.IndexByte(rest, '\n')
@@ -287,7 +282,7 @@ func decodeRecord(data []byte) (*report.Record, string, error) {
 // Get returns the record stored under key. Missing, invalid, and
 // corrupt entries are all misses.
 func (s *Store) Get(key string) (*report.Record, bool) {
-	if s == nil || !ValidKey(key) {
+	if s == nil || !validKey(key) {
 		s.countMiss()
 		return nil, false
 	}
@@ -326,7 +321,7 @@ func (s *Store) Put(key string, rec *report.Record) error {
 	if s == nil {
 		return nil
 	}
-	if !ValidKey(key) {
+	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
 	payload, err := report.Encode(rec)

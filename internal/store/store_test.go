@@ -97,7 +97,7 @@ func TestStoreCorruptionQuarantine(t *testing.T) {
 	// cold front (fresh store): the read must miss, count the
 	// corruption, and remove the file.
 	path := filepath.Join(dir, key(1)+".json")
-	if err := os.WriteFile(path, []byte(`{"schema":1,"truncated`), 0o644); err != nil {
+	if err := os.WriteFile(path, encodeRecord([]byte(`{"schema":1,"truncated`)), 0o644); err != nil {
 		t.Fatalf("corrupting: %v", err)
 	}
 	s2 := open(t, dir, Options{NoRecoveryScan: true})
@@ -117,7 +117,7 @@ func TestStoreCorruptionQuarantine(t *testing.T) {
 		t.Fatalf("quarantined bytes not preserved: %q, %v", data, err)
 	}
 	// Wrong schema version is equally untrusted.
-	if err := os.WriteFile(path, []byte(`{"schema":999}`+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, encodeRecord([]byte(`{"schema":999}`+"\n")), 0o644); err != nil {
 		t.Fatalf("writing: %v", err)
 	}
 	if _, ok := s2.Get(key(1)); ok {
@@ -186,24 +186,43 @@ func TestStoreChecksumDetectsBitRot(t *testing.T) {
 	}
 }
 
-func TestStoreReadsLegacyRecords(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{})
-	// A pre-header store wrote bare canonical JSON; it must still be
-	// served (and survive the recovery scan).
+// TestStoreQuarantinesHeaderlessRecords: a file without the checksum
+// header is unverifiable, even when it holds valid record JSON, so it
+// is quarantined as torn — by the recovery scan, and by Get when the
+// scan is skipped.
+func TestStoreQuarantinesHeaderlessRecords(t *testing.T) {
 	data, err := report.Encode(testRecord(3))
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, key(3)+".json"), data, 0o644); err != nil {
-		t.Fatalf("writing legacy record: %v", err)
+	dir := t.TempDir()
+	open(t, dir, Options{})
+	for _, k := range []string{key(3), key(4)} {
+		if err := os.WriteFile(filepath.Join(dir, k+".json"), data, 0o644); err != nil {
+			t.Fatalf("writing headerless record: %v", err)
+		}
 	}
+
+	s := open(t, dir, Options{NoRecoveryScan: true})
+	if _, ok := s.Get(key(3)); ok {
+		t.Fatal("Get served a headerless record")
+	}
+	if st := s.Stats(); st.Corrupt != 1 {
+		t.Fatalf("headerless read not counted as corrupt: %+v", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, key(3)+".json.torn")); err != nil {
+		t.Fatalf("headerless record not quarantined by Get: %v", err)
+	}
+
 	s = open(t, dir, Options{})
-	if rs := s.Recovery(); rs.Quarantined != 0 || rs.Scanned != 1 {
-		t.Fatalf("recovery scan rejected legacy record: %+v", rs)
+	if rs := s.Recovery(); rs.Quarantined != 1 || rs.Scanned != 1 {
+		t.Fatalf("recovery scan kept a headerless record: %+v", rs)
 	}
-	if rec, ok := s.Get(key(3)); !ok || rec.States != 3 {
-		t.Fatalf("Get of legacy record = %+v, %v", rec, ok)
+	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, key(4)+".json.torn")); err != nil {
+		t.Fatalf("headerless record not quarantined by the scan: %v", err)
+	}
+	if _, ok := s.Get(key(4)); ok {
+		t.Fatal("Get served a headerless record after recovery")
 	}
 }
 

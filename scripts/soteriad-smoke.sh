@@ -14,8 +14,9 @@
 #      fires, pprof answers on its own listener, and soteria
 #      -explain-timing prints a local span tree;
 #   5. fleet: three daemons formed with -peers report 3 ring members,
-#      and an analysis submitted to node 1 is answered from the shared
-#      sharded store (cached:true) when resubmitted to node 2.
+#      no member accepts a PUT of a record (405), and an analysis
+#      submitted to node 1 is answered from the owner's store
+#      (cached:true) when resubmitted to node 2.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -214,9 +215,10 @@ echo "phase 4 OK: metrics exposition + tracing + slow-job + pprof + explain-timi
 
 # --- Phase 5: multi-node fleet ---------------------------------------
 # Three daemons share one static -peers list. Any node answers any key:
-# a result produced via node 1 lives on its ring owner's shard, so the
-# same submission against node 2 must come back cached, and every node
-# must report the full membership.
+# a result produced via node 1 lives in its ring owner's store, so the
+# same submission against node 2 (forwarded to the same owner) must come
+# back cached, and every node must report the full membership. Stores
+# are written only by the node that ran the analysis: PUT is refused.
 fa=127.0.0.1:8396; fb=127.0.0.1:8397; fc=127.0.0.1:8398
 peers="http://$fa,http://$fb,http://$fc"
 go run ./scripts/smokereq -variant 600 > "$workdir/fleet.json"
@@ -241,14 +243,19 @@ done
 via1=$(curl -fsS -X POST --data-binary @"$workdir/fleet.json" "http://$fa/v1/analyze")
 echo "$via1" | grep -q '"schema":2' || { echo "fleet analysis failed: $via1"; exit 1; }
 
+key=$(echo "$via1" | grep -o '"key":"[0-9a-f]*"' | head -1 | cut -d'"' -f4)
+[ -n "$key" ] || { echo "fleet analysis returned no key: $via1"; exit 1; }
+code=$(curl -s -o /dev/null -w '%{http_code}' -X PUT --data-binary '{}' "http://$fb/v1/results/$key")
+[ "$code" = 405 ] || { echo "PUT /v1/results/$key on a fleet member answered $code, want 405"; exit 1; }
+
 via2=$(curl -fsS -X POST --data-binary @"$workdir/fleet.json" "http://$fb/v1/analyze")
 echo "$via2" | grep -q '"cached":true' \
-    || { echo "cross-node resubmission not served from the sharded store: $via2"; exit 1; }
+    || { echo "cross-node resubmission not served from the owner's store: $via2"; exit 1; }
 
 for p in "${fpids[@]}"; do kill -TERM "$p" 2>/dev/null || true; done
 for p in "${fpids[@]}"; do
     wait "$p" || { echo "fleet daemon exited non-zero on SIGTERM"; exit 1; }
 done
 trap 'rm -rf "$workdir"' EXIT
-echo "phase 5 OK: 3-member fleet + cross-node cache hit"
+echo "phase 5 OK: 3-member fleet + PUT refused + cross-node cache hit"
 echo "soteriad smoke OK"

@@ -603,7 +603,7 @@ type Service = service.Server
 
 // ServiceConfig configures NewService. The zero value is serviceable:
 // sensible defaults fill in workers, queue depth, timeouts, and size
-// caps; an empty StoreDir (with no Peers) disables result reuse.
+// caps; an empty StoreDir disables result reuse on this node.
 type ServiceConfig struct {
 	// Workers is the number of concurrent analysis workers
 	// (0 = GOMAXPROCS).
@@ -619,8 +619,7 @@ type ServiceConfig struct {
 	// Limits are per-job resource limits; the zero value is unlimited.
 	Limits Limits
 	// StoreDir roots the persistent result store, the service's only
-	// result cache; "" (with no Peers) analyzes every job afresh and
-	// reuses nothing.
+	// result cache; "" analyzes every job afresh and reuses nothing.
 	StoreDir string
 	// JournalPath enables the durable job journal ("" disables): every
 	// accepted job is fsynced into it before its acknowledgment, and on
@@ -638,11 +637,11 @@ type ServiceConfig struct {
 	// job whose wall time meets or exceeds it (0 disables).
 	SlowJobThreshold time.Duration
 
-	// Peers, when set, joins this node to a sharded fleet: the full
-	// static member list (this node's advertised URL included). Each
-	// analysis key is owned by one member of a consistent-hash ring;
-	// sync requests route to their owner and federate back, and the
-	// result store reads/writes through the owning replica. Every node
+	// Peers, when set, joins this node to a fleet: the full static
+	// member list (this node's advertised URL included). Each analysis
+	// key is owned by one member of a consistent-hash ring; sync
+	// requests route to their owner and federate back. Stores stay
+	// local: a record lives on the node that analyzed it. Every node
 	// must be started with the same list (order is irrelevant).
 	Peers []string
 	// SelfURL is this node's advertised base URL (required with Peers;
