@@ -66,11 +66,11 @@ func CheckAGBudget(k *kripke.Structure, f ctl.Formula, bound int, b *guard.Budge
 	if !ok {
 		return nil, false
 	}
-	eval, ok := boolEval(ag.X)
+	good, ok := boolEval(k, ag.X)
 	if !ok {
 		return nil, false
 	}
-	return CheckAGPropBudget(k, func(s int) bool { return eval(k, s) }, bound, b), true
+	return CheckAGPropBudget(k, good, bound, b), true
 }
 
 // CompletenessThreshold is the smallest bound at which a bounded AG
@@ -106,42 +106,42 @@ func CompletenessThreshold(k *kripke.Structure) int {
 }
 
 // boolEval compiles a propositional (non-temporal) formula into a
-// per-state evaluator.
-func boolEval(f ctl.Formula) (func(*kripke.Structure, int) bool, bool) {
+// per-state evaluator over k, looking each proposition up once.
+func boolEval(k *kripke.Structure, f ctl.Formula) (func(int) bool, bool) {
 	switch x := f.(type) {
 	case ctl.Prop:
-		return func(k *kripke.Structure, s int) bool { return k.HasProp(s, x.Name) }, true
+		return k.PropStates(x.Name).Has, true
 	case ctl.TrueF:
-		return func(*kripke.Structure, int) bool { return true }, true
+		return func(int) bool { return true }, true
 	case ctl.FalseF:
-		return func(*kripke.Structure, int) bool { return false }, true
+		return func(int) bool { return false }, true
 	case ctl.Not:
-		in, ok := boolEval(x.X)
+		in, ok := boolEval(k, x.X)
 		if !ok {
 			return nil, false
 		}
-		return func(k *kripke.Structure, s int) bool { return !in(k, s) }, true
+		return func(s int) bool { return !in(s) }, true
 	case ctl.And:
-		l, ok1 := boolEval(x.L)
-		r, ok2 := boolEval(x.R)
+		l, ok1 := boolEval(k, x.L)
+		r, ok2 := boolEval(k, x.R)
 		if !ok1 || !ok2 {
 			return nil, false
 		}
-		return func(k *kripke.Structure, s int) bool { return l(k, s) && r(k, s) }, true
+		return func(s int) bool { return l(s) && r(s) }, true
 	case ctl.Or:
-		l, ok1 := boolEval(x.L)
-		r, ok2 := boolEval(x.R)
+		l, ok1 := boolEval(k, x.L)
+		r, ok2 := boolEval(k, x.R)
 		if !ok1 || !ok2 {
 			return nil, false
 		}
-		return func(k *kripke.Structure, s int) bool { return l(k, s) || r(k, s) }, true
+		return func(s int) bool { return l(s) || r(s) }, true
 	case ctl.Implies:
-		l, ok1 := boolEval(x.L)
-		r, ok2 := boolEval(x.R)
+		l, ok1 := boolEval(k, x.L)
+		r, ok2 := boolEval(k, x.R)
 		if !ok1 || !ok2 {
 			return nil, false
 		}
-		return func(k *kripke.Structure, s int) bool { return !l(k, s) || r(k, s) }, true
+		return func(s int) bool { return !l(s) || r(s) }, true
 	}
 	return nil, false
 }

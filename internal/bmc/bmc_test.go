@@ -92,7 +92,7 @@ func TestCheckAGFormula(t *testing.T) {
 	k.Init = []int{0}
 	k.AddEdge(0, 1, "")
 	k.AddEdge(1, 1, "")
-	k.Labels[0]["p"] = true
+	k.SetProp(0, "p")
 	r, ok := CheckAG(k, ctl.MustParse(`AG "p"`), k.N)
 	if !ok {
 		t.Fatal("CheckAG should handle AG prop")
@@ -139,11 +139,11 @@ func TestBooleanCombinationBody(t *testing.T) {
 	k.AddEdge(0, 1, "")
 	k.AddEdge(1, 2, "")
 	k.AddEdge(2, 2, "")
-	k.Labels[0]["a"] = true
-	k.Labels[0]["b"] = true
-	k.Labels[1]["a"] = true
-	k.Labels[1]["b"] = true
-	k.Labels[2]["b"] = true
+	k.SetProp(0, "a")
+	k.SetProp(0, "b")
+	k.SetProp(1, "a")
+	k.SetProp(1, "b")
+	k.SetProp(2, "b")
 	r, ok := CheckAG(k, ctl.MustParse(`AG ("a" | "b")`), k.N)
 	if !ok || r.Violated {
 		t.Errorf("AG (a|b) holds; r=%+v ok=%t", r, ok)

@@ -1,13 +1,16 @@
 package conformance
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/soteria-analysis/soteria/internal/bmc"
 	"github.com/soteria-analysis/soteria/internal/ctl"
 	"github.com/soteria-analysis/soteria/internal/kripke"
+	"github.com/soteria-analysis/soteria/internal/ltl"
 	"github.com/soteria-analysis/soteria/internal/modelcheck"
+	"github.com/soteria-analysis/soteria/internal/symbolic"
 )
 
 // replayStructure builds the fixture used by the replay tests:
@@ -16,13 +19,49 @@ import (
 //	0    -> 2
 func replayStructure() *kripke.Structure {
 	k := kripke.New(3)
-	k.Labels[0]["p"] = true
-	k.Labels[2]["p"] = true
+	k.SetProp(0, "p")
+	k.SetProp(2, "p")
 	k.AddEdge(0, 1, "")
 	k.AddEdge(1, 2, "")
 	k.AddEdge(2, 2, "")
 	k.AddEdge(0, 2, "")
 	return k
+}
+
+// TestAbsentPropHoldsNowhere checks every engine on a proposition no
+// state carries: with every state initial, "never ghost" holds, so
+// ghost is false in every state.
+func TestAbsentPropHoldsNowhere(t *testing.T) {
+	k := kripke.New(3) // every state is initial
+	k.SetProp(1, "p")
+	k.AddEdge(0, 1, "")
+	k.AddEdge(1, 2, "")
+	k.AddEdge(2, 2, "")
+	ghost := ctl.Prop{Name: "ghost"}
+	never := ctl.AG{X: ctl.Not{X: ghost}}
+
+	if r := modelcheck.Check(k, ghost); r.Holds || len(r.FailingStates) != k.N {
+		t.Errorf("explicit: %q failing states = %v, want all %d", ghost, r.FailingStates, k.N)
+	}
+	if r := modelcheck.Check(k, never); !r.Holds {
+		t.Errorf("explicit: %s fails", never)
+	}
+	e := symbolic.New(k)
+	if r := e.Check(ghost); r.Holds || slices.Contains(r.Sat, true) {
+		t.Errorf("symbolic: %q sat = %v, want none", ghost, r.Sat)
+	}
+	if r := e.Check(never); !r.Holds {
+		t.Errorf("symbolic: %s fails", never)
+	}
+	if r := ltl.Check(k, ltl.MustParse(`G !"ghost"`)); !r.Holds {
+		t.Errorf("ltl: G !ghost fails via %v", r.Counterexample)
+	}
+	if r, ok := bmc.CheckAG(k, ctl.AG{X: ghost}, 0); !ok || !r.Violated {
+		t.Errorf("bmc: AG %q not violated at depth 0: %+v", ghost, r)
+	}
+	if r, ok := bmc.CheckAG(k, never, k.N-1); !ok || r.Violated {
+		t.Errorf("bmc: %s violated: %+v", never, r)
+	}
 }
 
 func TestValidatePath(t *testing.T) {

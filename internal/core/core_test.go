@@ -117,8 +117,8 @@ func TestBMCUndecidedBelowCompletenessThreshold(t *testing.T) {
 		k.AddEdge(s, s+1, "")
 	}
 	k.AddEdge(65, 65, "")
-	k.Labels[10]["near"] = true
-	k.Labels[65]["far"] = true
+	k.SetProp(10, "near")
+	k.SetProp(65, "far")
 	a := &Analysis{Kripke: k}
 
 	for _, f := range []string{`AG !"nowhere"`, `AG !"far"`} {

@@ -8,6 +8,13 @@
 // lets properties refer to triggers. The transition relation is made
 // total by adding self-loops to deadlocked states (CTL semantics over
 // total relations).
+//
+// Propositions are interned: a table maps each name to an ID, and
+// each ID owns a bitset of the states it holds in, all carved from one
+// arena. Engines look a proposition up once per atom with PropStates
+// and then test states by bit. Edges are numbered next to Succs, and
+// each edge keeps the indices of the transitions it came from; their
+// labels are rendered only for counterexamples (RenderPath).
 package kripke
 
 import (
@@ -21,44 +28,177 @@ import (
 
 // Structure is an explicit Kripke structure.
 type Structure struct {
-	N      int
-	Init   []int
-	Succs  [][]int
-	Preds  [][]int
-	Labels []map[string]bool
-	Names  []string // human-readable state names
-	// EdgeInfo retains, per (from, to) pair, the transition labels —
-	// used for counterexample rendering.
-	EdgeInfo map[[2]int][]string
+	N     int
+	Init  []int
+	Succs [][]int
+	Preds [][]int
+	Names []string // human-readable state names
+
+	// The proposition table: propNames[id] names proposition id and
+	// propStates[id] holds the states it is true in.
+	propID     map[string]int
+	propNames  []string
+	propStates []StateSet
+
+	// edgeOf[s][j] is the ID of the edge s → Succs[s][j]. Edge e's
+	// label references are labRefs[labStart[e]:labStart[e+1]] in
+	// insertion order: reference r < len(trans) is trans[r].Label(),
+	// any other names labels[r-len(trans)].
+	edgeOf   [][]int32
+	labStart []int32
+	labRefs  []int32
+	trans    []statemodel.Transition
+	labels   []string
+}
+
+// StateSet is a bitset over state IDs. The nil set is empty.
+type StateSet []uint64
+
+// Has reports whether state s is in the set.
+func (b StateSet) Has(s int) bool {
+	w := s >> 6
+	return w < len(b) && b[w]&(1<<(uint(s)&63)) != 0
+}
+
+func (b StateSet) add(s int) { b[s>>6] |= 1 << (uint(s) & 63) }
+
+func (b StateSet) empty() bool {
+	for _, w := range b {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// words is the length of a StateSet over n states.
+func words(n int) int { return (n + 63) / 64 }
+
+// PropStates returns the set of states where proposition p holds:
+// the one lookup an engine needs per atom. An unknown proposition
+// holds nowhere.
+func (k *Structure) PropStates(p string) StateSet {
+	if id, ok := k.propID[p]; ok {
+		return k.propStates[id]
+	}
+	return nil
 }
 
 // HasProp reports whether proposition p holds in state s.
-func (k *Structure) HasProp(s int, p string) bool { return k.Labels[s][p] }
+func (k *Structure) HasProp(s int, p string) bool { return k.PropStates(p).Has(s) }
 
-// AddEdge inserts an edge (deduplicated).
-func (k *Structure) AddEdge(from, to int, label string) {
-	for _, t := range k.Succs[from] {
-		if t == to {
-			if label != "" {
-				k.EdgeInfo[[2]int{from, to}] = appendUnique(k.EdgeInfo[[2]int{from, to}], label)
-			}
-			return
+// SetProp makes proposition p hold in state s.
+func (k *Structure) SetProp(s int, p string) {
+	id := k.intern(p)
+	for len(k.propStates) <= id {
+		k.propStates = append(k.propStates, make(StateSet, words(k.N)))
+	}
+	k.propStates[id].add(s)
+}
+
+// intern returns p's ID, adding p to the table (without a state set)
+// when it is new.
+func (k *Structure) intern(p string) int {
+	if id, ok := k.propID[p]; ok {
+		return id
+	}
+	if k.propID == nil {
+		k.propID = map[string]int{}
+	}
+	id := len(k.propNames)
+	k.propID[p] = id
+	k.propNames = append(k.propNames, p)
+	return id
+}
+
+// PropsAt returns the sorted propositions that hold in state s.
+func (k *Structure) PropsAt(s int) []string {
+	var out []string
+	for id, states := range k.propStates {
+		if states.Has(s) {
+			out = append(out, k.propNames[id])
 		}
 	}
-	k.Succs[from] = append(k.Succs[from], to)
-	k.Preds[to] = append(k.Preds[to], from)
-	if label != "" {
-		k.EdgeInfo[[2]int{from, to}] = appendUnique(k.EdgeInfo[[2]int{from, to}], label)
+	sort.Strings(out)
+	return out
+}
+
+// Props returns the sorted set of all propositions that hold in at
+// least one state.
+func (k *Structure) Props() []string {
+	out := make([]string, 0, len(k.propStates))
+	for id, states := range k.propStates {
+		if !states.empty() {
+			out = append(out, k.propNames[id])
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// AddEdge inserts an edge (deduplicated), recording label on it unless
+// the label is empty or already recorded.
+func (k *Structure) AddEdge(from, to int, label string) {
+	e := k.edge(from, to)
+	if e < 0 {
+		e = len(k.labStart) - 1
+		k.labStart = append(k.labStart, k.labStart[e])
+		k.Succs[from] = append(k.Succs[from], to)
+		k.edgeOf[from] = append(k.edgeOf[from], int32(e))
+		k.Preds[to] = append(k.Preds[to], from)
+	}
+	if label == "" {
+		return
+	}
+	i := slices.Index(k.labels, label)
+	if i < 0 {
+		i = len(k.labels)
+		k.labels = append(k.labels, label)
+	}
+	r := int32(len(k.trans) + i)
+	end := k.labStart[e+1]
+	if slices.Contains(k.labRefs[k.labStart[e]:end], r) {
+		return
+	}
+	k.labRefs = slices.Insert(k.labRefs, int(end), r)
+	for j := e + 1; j < len(k.labStart); j++ {
+		k.labStart[j]++
 	}
 }
 
-func appendUnique(ss []string, s string) []string {
-	for _, t := range ss {
-		if t == s {
-			return ss
+// edge returns the ID of the edge from → to, or -1.
+func (k *Structure) edge(from, to int) int {
+	if from >= len(k.edgeOf) {
+		return -1
+	}
+	for j, t := range k.Succs[from] {
+		if t == to {
+			return int(k.edgeOf[from][j])
 		}
 	}
-	return append(ss, s)
+	return -1
+}
+
+// EdgeLabels returns the distinct non-empty labels of the edge
+// from → to in insertion order, or nil when there are none.
+func (k *Structure) EdgeLabels(from, to int) []string {
+	e := k.edge(from, to)
+	if e < 0 {
+		return nil
+	}
+	var out []string
+	for _, r := range k.labRefs[k.labStart[e]:k.labStart[e+1]] {
+		var l string
+		if int(r) < len(k.trans) {
+			l = k.trans[r].Label()
+		} else {
+			l = k.labels[int(r)-len(k.trans)]
+		}
+		if l != "" && !slices.Contains(out, l) {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // New creates an empty structure with n states, all initial.
@@ -67,12 +207,11 @@ func New(n int) *Structure {
 		N:        n,
 		Succs:    make([][]int, n),
 		Preds:    make([][]int, n),
-		Labels:   make([]map[string]bool, n),
 		Names:    make([]string, n),
-		EdgeInfo: map[[2]int][]string{},
+		edgeOf:   make([][]int32, n),
+		labStart: []int32{0},
 	}
 	for i := 0; i < n; i++ {
-		k.Labels[i] = map[string]bool{}
 		k.Names[i] = fmt.Sprintf("s%d", i)
 		k.Init = append(k.Init, i)
 	}
@@ -86,8 +225,9 @@ func New(n int) *Structure {
 //
 // The result is what New followed by one AddEdge per transition (and a
 // "stutter" self-loop per deadlocked state) produces, built without
-// per-edge allocation: adjacency lists and edge labels are carved
-// from arenas sized by the transition counts.
+// per-edge allocation: adjacency lists, edge IDs, the per-edge
+// transition lists and the proposition bitsets are carved from arenas
+// sized by the model's counts.
 func FromModel(m *statemodel.Model) *Structure {
 	n := len(m.States)
 	k := &Structure{
@@ -95,56 +235,51 @@ func FromModel(m *statemodel.Model) *Structure {
 		Init:   make([]int, n),
 		Succs:  make([][]int, n),
 		Preds:  make([][]int, n),
-		Labels: make([]map[string]bool, n),
 		Names:  make([]string, n),
+		edgeOf: make([][]int32, n),
+		trans:  m.Transitions,
 	}
-	stateLabels(m, k)
+	for s := range k.Init {
+		k.Init[s] = s
+	}
 
 	// A state has at most as many successors (predecessors) as
 	// transitions leaving (entering) it.
 	outCount := make([]int, n)
 	inCount := make([]int, n)
-	for _, t := range m.Transitions {
-		outCount[t.From]++
-		inCount[t.To]++
+	for i := range m.Transitions {
+		outCount[m.Transitions[i].From]++
+		inCount[m.Transitions[i].To]++
 	}
 	succArena := make([]int, len(m.Transitions))
 	predArena := make([]int, len(m.Transitions))
-	edgeArena := make([]int, len(m.Transitions))
-	edgeOf := make([][]int, n) // edge IDs, parallel to Succs
+	edgeArena := make([]int32, len(m.Transitions))
 	so, po := 0, 0
 	for s := 0; s < n; s++ {
 		k.Succs[s] = succArena[so : so : so+outCount[s]]
-		edgeOf[s] = edgeArena[so : so : so+outCount[s]]
+		k.edgeOf[s] = edgeArena[so : so : so+outCount[s]]
 		so += outCount[s]
 		k.Preds[s] = predArena[po : po : po+inCount[s]]
 		po += inCount[s]
 	}
 
 	// Edges in order of first appearance, and each transition's edge.
-	edges := make([][2]int, 0, len(m.Transitions))
-	tEdge := make([]int, len(m.Transitions))
+	edges := 0
+	tEdge := make([]int32, len(m.Transitions))
 	for i := range m.Transitions {
 		t := &m.Transitions[i]
-		e := -1
-		for j, to := range k.Succs[t.From] {
-			if to == t.To {
-				e = edgeOf[t.From][j]
-				break
-			}
-		}
+		e := k.edge(t.From, t.To)
 		if e < 0 {
-			e = len(edges)
-			edges = append(edges, [2]int{t.From, t.To})
+			e = edges
+			edges++
 			k.Succs[t.From] = append(k.Succs[t.From], t.To)
-			edgeOf[t.From] = append(edgeOf[t.From], e)
+			k.edgeOf[t.From] = append(k.edgeOf[t.From], int32(e))
 			k.Preds[t.To] = append(k.Preds[t.To], t.From)
 		}
-		tEdge[i] = e
+		tEdge[i] = int32(e)
 	}
-	eventMarkers(m, k, inCount)
-
-	k.EdgeInfo = edgeLabels(m, edges, tEdge)
+	k.edgeTransitions(tEdge, edges)
+	k.propositions(m)
 
 	for s := 0; s < n; s++ {
 		// Total transition relation: deadlocked states self-loop.
@@ -157,132 +292,101 @@ func FromModel(m *statemodel.Model) *Structure {
 	return k
 }
 
-// edgeLabels returns, per edge, the distinct labels of its
-// transitions in transition order, carved from one arena.
-func edgeLabels(m *statemodel.Model, edges [][2]int, tEdge []int) map[[2]int][]string {
-	off := make([]int, len(edges)+1)
+// edgeTransitions lays out, per edge, the indices of its transitions
+// in transition order: a counting sort of the transitions by edge.
+func (k *Structure) edgeTransitions(tEdge []int32, edges int) {
+	// Count into labStart[e] and sum to bucket ends, then fill each
+	// bucket back to front, leaving labStart[e] at its start.
+	k.labStart = make([]int32, edges+1)
 	for _, e := range tEdge {
-		off[e+1]++
+		k.labStart[e]++
 	}
-	for e := range edges {
-		off[e+1] += off[e]
+	for e := 1; e <= edges; e++ {
+		k.labStart[e] += k.labStart[e-1]
 	}
-	arena := make([]string, len(m.Transitions))
-	n := make([]int, len(edges))
-	for i := range m.Transitions {
+	k.labRefs = make([]int32, len(tEdge))
+	for i := len(tEdge) - 1; i >= 0; i-- {
 		e := tEdge[i]
-		l := m.Transitions[i].Label()
-		if l == "" || slices.Contains(arena[off[e]:off[e]+n[e]], l) {
-			continue
-		}
-		arena[off[e]+n[e]] = l
-		n[e]++
+		k.labStart[e]--
+		k.labRefs[k.labStart[e]] = int32(i)
 	}
-	info := make(map[[2]int][]string, len(edges))
-	for e, key := range edges {
-		if lo, hi := off[e], off[e]+n[e]; hi > lo {
-			info[key] = arena[lo:hi:hi]
-		}
-	}
-	return info
 }
 
-// eventMarkers labels each state with "ev:<event>" for every event of
-// a transition entering it. Markers are rendered once per distinct
-// event, and each (state, event) pair is set once: transitions are
-// visited grouped by target, with a per-event stamp.
-func eventMarkers(m *statemodel.Model, k *Structure, inCount []int) {
-	evID := map[statemodel.Event]int{}
-	var markers []string
-	tev := make([]int, len(m.Transitions))
+// propositions fills the proposition table — every "variable=value",
+// then each distinct "ev:<event>" marker — with the state bitsets
+// carved from one arena, and sets every state's name
+// (statemodel.Model.StateLabel) from the rendered propositions.
+func (k *Structure) propositions(m *statemodel.Model) {
+	varProp := make([][]int, len(m.Vars))
+	for vi, v := range m.Vars {
+		varProp[vi] = make([]int, len(v.Values))
+		for x, val := range v.Values {
+			varProp[vi][x] = k.intern(v.Key + "=" + val)
+		}
+	}
+	// Runs of transitions share an event; look up only changes.
+	type run struct{ start, prop int }
+	var runs []run
+	evProp := map[statemodel.Event]int{}
 	for i := range m.Transitions {
 		ev := m.Transitions[i].Event
-		// Runs of transitions share an event; look up only changes.
 		if i > 0 && ev == m.Transitions[i-1].Event {
-			tev[i] = tev[i-1]
 			continue
 		}
-		id, ok := evID[ev]
+		id, ok := evProp[ev]
 		if !ok {
-			id = len(markers)
-			evID[ev] = id
-			markers = append(markers, "ev:"+ev.String())
+			id = k.intern("ev:" + ev.String())
+			evProp[ev] = id
 		}
-		tev[i] = id
+		runs = append(runs, run{i, id})
 	}
-	start := make([]int, len(inCount)+1)
-	for s, c := range inCount {
-		start[s+1] = start[s] + c
-	}
-	byTarget := make([]int, len(m.Transitions))
-	for i := range m.Transitions {
-		to := m.Transitions[i].To
-		byTarget[start[to]] = i
-		start[to]++
-	}
-	stamp := make([]int, len(markers)) // target+1 that last set the marker
-	for _, i := range byTarget {
-		to, id := m.Transitions[i].To, tev[i]
-		if stamp[id] != to+1 {
-			stamp[id] = to + 1
-			k.Labels[to][markers[id]] = true
-		}
-	}
-}
 
-// stateLabels sets every state's name (statemodel.Model.StateLabel),
-// its "variable=value" propositions and its initial flag, rendering
-// each proposition once and all names into one string.
-func stateLabels(m *statemodel.Model, k *Structure) {
-	props := make([][]string, len(m.Vars))
-	for vi, v := range m.Vars {
-		props[vi] = make([]string, len(v.Values))
-		for i, x := range v.Values {
-			props[vi][i] = v.Key + "=" + x
+	w := words(k.N)
+	arena := make([]uint64, len(k.propNames)*w)
+	k.propStates = make([]StateSet, len(k.propNames))
+	for id := range k.propStates {
+		k.propStates[id] = arena[id*w : (id+1)*w : (id+1)*w]
+	}
+	for r, run := range runs {
+		end := len(m.Transitions)
+		if r+1 < len(runs) {
+			end = runs[r+1].start
+		}
+		for i := run.start; i < end; i++ {
+			k.propStates[run.prop].add(m.Transitions[i].To)
+		}
+	}
+
+	// Names are "[p1, p2, ...]"; size the one string they share.
+	size := 0
+	for _, st := range m.States {
+		size += 2 + 2*len(st.Idx)
+		for vi, x := range st.Idx {
+			size += len(k.propNames[varProp[vi][x]])
 		}
 	}
 	var sb strings.Builder
+	sb.Grow(size)
 	ends := make([]int, len(m.States))
 	for s, st := range m.States {
-		labels := make(map[string]bool, len(st.Idx)+1)
 		sb.WriteByte('[')
 		for vi, x := range st.Idx {
 			if vi > 0 {
 				sb.WriteString(", ")
 			}
-			sb.WriteString(props[vi][x])
-			labels[props[vi][x]] = true
+			id := varProp[vi][x]
+			sb.WriteString(k.propNames[id])
+			k.propStates[id].add(s)
 		}
 		sb.WriteByte(']')
 		ends[s] = sb.Len()
-		k.Labels[s] = labels
-		k.Init[s] = s
 	}
 	names := sb.String()
+	start := 0
 	for s, end := range ends {
-		start := 0
-		if s > 0 {
-			start = ends[s-1]
-		}
 		k.Names[s] = names[start:end]
+		start = end
 	}
-}
-
-// Props returns the sorted set of all propositions used in the
-// structure.
-func (k *Structure) Props() []string {
-	set := map[string]bool{}
-	for _, l := range k.Labels {
-		for p := range l {
-			set[p] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RenderPath formats a state path with edge labels for counterexample
@@ -291,9 +395,8 @@ func (k *Structure) RenderPath(path []int) string {
 	var sb strings.Builder
 	for i, s := range path {
 		if i > 0 {
-			labels := k.EdgeInfo[[2]int{path[i-1], s}]
 			sb.WriteString("\n  --[")
-			sb.WriteString(strings.Join(labels, " | "))
+			sb.WriteString(strings.Join(k.EdgeLabels(path[i-1], s), " | "))
 			sb.WriteString("]--> ")
 		}
 		sb.WriteString(k.Names[s])

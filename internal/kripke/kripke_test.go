@@ -28,7 +28,7 @@ func TestNewAllInitial(t *testing.T) {
 		t.Errorf("N=%d init=%v", k.N, k.Init)
 	}
 	for s := 0; s < 5; s++ {
-		if len(k.Labels[s]) != 0 {
+		if len(k.PropsAt(s)) != 0 {
 			t.Errorf("state %d has labels", s)
 		}
 	}
@@ -45,7 +45,7 @@ func TestAddEdgeDeduplicates(t *testing.T) {
 	if len(k.Preds[1]) != 1 {
 		t.Errorf("preds = %v", k.Preds[1])
 	}
-	labels := k.EdgeInfo[[2]int{0, 1}]
+	labels := k.EdgeLabels(0, 1)
 	if len(labels) != 2 || labels[0] != "a" || labels[1] != "b" {
 		t.Errorf("edge labels = %v", labels)
 	}
@@ -60,13 +60,13 @@ func TestFromModelLabels(t *testing.T) {
 	// Every state carries one var=value proposition per variable.
 	for s := 0; s < k.N; s++ {
 		count := 0
-		for p := range k.Labels[s] {
+		for _, p := range k.PropsAt(s) {
 			if !strings.HasPrefix(p, "ev:") {
 				count++
 			}
 		}
 		if count != 2 {
-			t.Errorf("state %d has %d value props: %v", s, count, k.Labels[s])
+			t.Errorf("state %d has %d value props: %v", s, count, k.PropsAt(s))
 		}
 	}
 	// Event markers exist on wet-event targets.

@@ -263,19 +263,19 @@ func cloneNode(q *gbaNode, id int) *gbaNode {
 	}
 }
 
+// propLit is one propositional obligation of a node: the states of a
+// proposition, which must (or, when neg, must not) contain the state.
+type propLit struct {
+	states kripke.StateSet
+	neg    bool
+}
+
 // compatible reports whether Kripke state s satisfies the node's
 // propositional obligations.
-func compatible(k *kripke.Structure, s int, n *gbaNode) bool {
-	for _, f := range n.old {
-		switch x := f.(type) {
-		case Prop:
-			if !k.HasProp(s, x.Name) {
-				return false
-			}
-		case NProp:
-			if k.HasProp(s, x.Name) {
-				return false
-			}
+func (p *product) compatible(s int, n *gbaNode) bool {
+	for _, l := range p.lits[n.id] {
+		if l.states.Has(s) == l.neg {
+			return false
 		}
 	}
 	return true
@@ -290,7 +290,10 @@ type product struct {
 	// succsOf maps automaton node id -> successor nodes.
 	succsOf map[int][]*gbaNode
 	inits   []*gbaNode
-	b       *guard.Budget
+	// lits maps automaton node id -> its propositional obligations,
+	// each proposition looked up once per product.
+	lits map[int][]propLit
+	b    *guard.Budget
 }
 
 type pstate struct {
@@ -299,8 +302,16 @@ type pstate struct {
 }
 
 func newProduct(k *kripke.Structure, a *automaton) *product {
-	p := &product{k: k, a: a, succsOf: map[int][]*gbaNode{}}
+	p := &product{k: k, a: a, succsOf: map[int][]*gbaNode{}, lits: map[int][]propLit{}}
 	for _, n := range a.nodes {
+		for _, f := range n.old {
+			switch x := f.(type) {
+			case Prop:
+				p.lits[n.id] = append(p.lits[n.id], propLit{states: k.PropStates(x.Name)})
+			case NProp:
+				p.lits[n.id] = append(p.lits[n.id], propLit{states: k.PropStates(x.Name), neg: true})
+			}
+		}
 		for in := range n.incoming {
 			if in == initMarker {
 				p.inits = append(p.inits, n)
@@ -317,7 +328,7 @@ func (p *product) succs(ps pstate) []pstate {
 	var out []pstate
 	for _, t := range p.k.Succs[ps.s] {
 		for _, qn := range p.succsOf[ps.q] {
-			if compatible(p.k, t, qn) {
+			if p.compatible(t, qn) {
 				out = append(out, pstate{s: t, q: qn.id})
 			}
 		}
@@ -332,7 +343,7 @@ func (p *product) findAcceptingLasso() ([]int, int) {
 	var initStates []pstate
 	for _, s := range p.k.Init {
 		for _, qn := range p.inits {
-			if compatible(p.k, s, qn) {
+			if p.compatible(s, qn) {
 				initStates = append(initStates, pstate{s: s, q: qn.id})
 			}
 		}

@@ -51,7 +51,7 @@ func chain(n int, labels map[int][]string) *kripke.Structure {
 	k.AddEdge(n-1, n-1, "")
 	for s, ps := range labels {
 		for _, p := range ps {
-			k.Labels[s][p] = true
+			k.SetProp(s, p)
 		}
 	}
 	return k
@@ -87,7 +87,7 @@ func TestEventually(t *testing.T) {
 	k2.AddEdge(0, 2, "")
 	k2.AddEdge(1, 1, "")
 	k2.AddEdge(2, 2, "")
-	k2.Labels[1]["goal"] = true
+	k2.SetProp(1, "goal")
 	r := Check(k2, MustParse(`F "goal"`))
 	if r.Holds {
 		t.Error("F goal should fail via the 0->2 path")
@@ -107,12 +107,12 @@ func TestNextSemantics(t *testing.T) {
 	k.AddEdge(0, 2, "")
 	k.AddEdge(1, 1, "")
 	k.AddEdge(2, 2, "")
-	k.Labels[1]["p"] = true
+	k.SetProp(1, "p")
 	r := Check(k, MustParse(`X "p"`))
 	if r.Holds {
 		t.Error("X p should fail via successor 2")
 	}
-	k.Labels[2]["p"] = true
+	k.SetProp(2, "p")
 	if r := Check(k, MustParse(`X "p"`)); !r.Holds {
 		t.Error("X p should hold when all successors satisfy p")
 	}
@@ -125,8 +125,8 @@ func TestResponseProperty(t *testing.T) {
 	k.AddEdge(0, 1, "")
 	k.AddEdge(1, 2, "")
 	k.AddEdge(2, 0, "")
-	k.Labels[0]["req"] = true
-	k.Labels[2]["ack"] = true
+	k.SetProp(0, "req")
+	k.SetProp(2, "ack")
 	if r := Check(k, MustParse(`G ("req" -> F "ack")`)); !r.Holds {
 		t.Errorf("response property should hold; cex=%v", r.Counterexample)
 	}
@@ -177,10 +177,10 @@ func TestAgreesWithCTLOnCommonFragment(t *testing.T) {
 				k.AddEdge(s, rng.Intn(n), "")
 			}
 			if rng.Intn(2) == 0 {
-				k.Labels[s]["p"] = true
+				k.SetProp(s, "p")
 			}
 			if rng.Intn(3) == 0 {
-				k.Labels[s]["q"] = true
+				k.SetProp(s, "q")
 			}
 		}
 		// Restrict to a single initial state to keep the comparison
@@ -206,7 +206,7 @@ func TestCounterexampleLassoValid(t *testing.T) {
 		for s := 0; s < n; s++ {
 			k.AddEdge(s, rng.Intn(n), "")
 			if rng.Intn(2) == 0 {
-				k.Labels[s]["p"] = true
+				k.SetProp(s, "p")
 			}
 		}
 		k.Init = []int{0}
@@ -248,8 +248,8 @@ func TestLTLDistinguishesFG(t *testing.T) {
 	k.AddEdge(0, 1, "")
 	k.AddEdge(1, 2, "")
 	k.AddEdge(2, 2, "")
-	k.Labels[0]["p"] = true
-	k.Labels[2]["p"] = true
+	k.SetProp(0, "p")
+	k.SetProp(2, "p")
 	lr := Check(k, MustParse(`F (G "p")`))
 	if !lr.Holds {
 		t.Errorf("FG p should hold on every path; cex=%v", lr.Counterexample)

@@ -19,10 +19,10 @@ func randomStructure(rng *rand.Rand, n int) *kripke.Structure {
 			k.AddEdge(s, rng.Intn(n), "")
 		}
 		if rng.Intn(2) == 0 {
-			k.Labels[s]["p"] = true
+			k.SetProp(s, "p")
 		}
 		if rng.Intn(3) == 0 {
-			k.Labels[s]["q"] = true
+			k.SetProp(s, "q")
 		}
 	}
 	return k
@@ -128,8 +128,8 @@ func TestEGSemantics(t *testing.T) {
 	k.AddEdge(0, 1, "")
 	k.AddEdge(1, 2, "")
 	k.AddEdge(2, 2, "")
-	k.Labels[0]["p"] = true
-	k.Labels[1]["p"] = true
+	k.SetProp(0, "p")
+	k.SetProp(1, "p")
 	r := Check(k, ctl.MustParse(`EG "p"`))
 	for s, want := range []bool{false, false, false} {
 		if r.Sat[s] != want {
@@ -142,8 +142,8 @@ func TestEGSemantics(t *testing.T) {
 	k2.AddEdge(0, 1, "")
 	k2.AddEdge(1, 2, "")
 	k2.AddEdge(2, 2, "")
-	k2.Labels[0]["p"] = true
-	k2.Labels[1]["p"] = true
+	k2.SetProp(0, "p")
+	k2.SetProp(1, "p")
 	r2 := Check(k2, ctl.MustParse(`EG "p"`))
 	if !r2.Sat[0] || r2.Sat[1] || r2.Sat[2] {
 		t.Errorf("EG p = %v", r2.Sat)

@@ -12,12 +12,13 @@ func memoTestStructure(t *testing.T) *kripke.Structure {
 	t.Helper()
 	// 0 → 1 → 2 → 0 ring; p on 1, q on 2.
 	k := &kripke.Structure{
-		N:      3,
-		Init:   []int{0},
-		Succs:  [][]int{{1}, {2}, {0}},
-		Preds:  [][]int{{2}, {0}, {1}},
-		Labels: []map[string]bool{{}, {"p": true}, {"q": true}},
+		N:     3,
+		Init:  []int{0},
+		Succs: [][]int{{1}, {2}, {0}},
+		Preds: [][]int{{2}, {0}, {1}},
 	}
+	k.SetProp(1, "p")
+	k.SetProp(2, "q")
 	return k
 }
 

@@ -178,9 +178,10 @@ func (c *checker) eval(f ctl.Formula) []bool {
 	case ctl.FalseF:
 		out = c.constSet(false)
 	case ctl.Prop:
+		states := c.k.PropStates(x.Name)
 		out = make([]bool, c.k.N)
 		for s := 0; s < c.k.N; s++ {
-			out[s] = c.k.HasProp(s, x.Name)
+			out[s] = states.Has(s)
 		}
 	case ctl.Not:
 		in := c.eval(x.X)

@@ -19,7 +19,7 @@ func chain(n int, labels map[int][]string) *kripke.Structure {
 	k.AddEdge(n-1, n-1, "")
 	for s, ps := range labels {
 		for _, p := range ps {
-			k.Labels[s][p] = true
+			k.SetProp(s, p)
 		}
 	}
 	return k
@@ -54,7 +54,7 @@ func TestEXAX(t *testing.T) {
 	k.AddEdge(0, 2, "")
 	k.AddEdge(1, 1, "")
 	k.AddEdge(2, 2, "")
-	k.Labels[1]["p"] = true
+	k.SetProp(1, "p")
 	holdsAt(t, k, `EX "p"`, 0, true)
 	holdsAt(t, k, `AX "p"`, 0, false)
 	holdsAt(t, k, `AX "p"`, 1, true)
@@ -77,7 +77,7 @@ func TestAFWithBranch(t *testing.T) {
 	k.AddEdge(0, 2, "")
 	k.AddEdge(1, 1, "")
 	k.AddEdge(2, 2, "")
-	k.Labels[1]["p"] = true
+	k.SetProp(1, "p")
 	holdsAt(t, k, `EF "p"`, 0, true)
 	holdsAt(t, k, `AF "p"`, 0, false)
 	holdsAt(t, k, `EG !"p"`, 0, true)
@@ -103,9 +103,9 @@ func TestAUvsEU(t *testing.T) {
 	k.AddEdge(1, 3, "")
 	k.AddEdge(2, 2, "")
 	k.AddEdge(3, 3, "")
-	k.Labels[0]["a"] = true
-	k.Labels[1]["a"] = true
-	k.Labels[3]["goal"] = true
+	k.SetProp(0, "a")
+	k.SetProp(1, "a")
+	k.SetProp(3, "goal")
 	holdsAt(t, k, `E["a" U "goal"]`, 0, true)
 	holdsAt(t, k, `A["a" U "goal"]`, 0, false) // the 0->2 path fails
 }
@@ -116,7 +116,7 @@ func TestHoldsOverInitialStates(t *testing.T) {
 	if !r.Holds || len(r.FailingStates) != 0 {
 		t.Errorf("result = %+v", r)
 	}
-	k.Labels[1] = map[string]bool{}
+	k = chain(2, map[int][]string{0: {"p"}})
 	r = Check(k, ctl.MustParse(`AG "p"`))
 	if r.Holds {
 		t.Error("AG p should fail")
@@ -154,7 +154,7 @@ func TestCounterexampleImplication(t *testing.T) {
 	k := kripke.New(2)
 	k.AddEdge(0, 1, "")
 	k.AddEdge(1, 1, "")
-	k.Labels[0]["p"] = true
+	k.SetProp(0, "p")
 	r := Check(k, ctl.MustParse(`AG ("p" -> AX "q")`))
 	if r.Holds {
 		t.Fatal("should fail")

@@ -14,7 +14,7 @@ func TestWitnessEX(t *testing.T) {
 	k.AddEdge(0, 2, "")
 	k.AddEdge(1, 1, "")
 	k.AddEdge(2, 2, "")
-	k.Labels[2]["p"] = true
+	k.SetProp(2, "p")
 	path, _, ok := Witness(k, ctl.MustParse(`EX "p"`).(ctl.EX), 0)
 	if !ok || len(path) != 2 || path[1] != 2 {
 		t.Errorf("path = %v ok=%t", path, ok)
@@ -30,7 +30,7 @@ func TestWitnessEF(t *testing.T) {
 	k.AddEdge(1, 2, "")
 	k.AddEdge(2, 3, "")
 	k.AddEdge(3, 3, "")
-	k.Labels[3]["goal"] = true
+	k.SetProp(3, "goal")
 	path, _, ok := Witness(k, ctl.MustParse(`EF "goal"`), 0)
 	if !ok || len(path) != 4 || path[3] != 3 {
 		t.Errorf("path = %v", path)
@@ -45,9 +45,9 @@ func TestWitnessEU(t *testing.T) {
 	k.AddEdge(1, 2, "")
 	k.AddEdge(2, 2, "")
 	k.AddEdge(3, 3, "")
-	k.Labels[0]["a"] = true
-	k.Labels[1]["a"] = true
-	k.Labels[2]["b"] = true
+	k.SetProp(0, "a")
+	k.SetProp(1, "a")
+	k.SetProp(2, "b")
 	path, _, ok := Witness(k, ctl.MustParse(`E["a" U "b"]`), 0)
 	if !ok {
 		t.Fatal("witness missing")
@@ -70,8 +70,8 @@ func TestWitnessEG(t *testing.T) {
 	k.AddEdge(1, 0, "")
 	k.AddEdge(0, 2, "")
 	k.AddEdge(2, 2, "")
-	k.Labels[0]["p"] = true
-	k.Labels[1]["p"] = true
+	k.SetProp(0, "p")
+	k.SetProp(1, "p")
 	path, loop, ok := Witness(k, ctl.MustParse(`EG "p"`), 0)
 	if !ok || loop < 0 {
 		t.Fatalf("path=%v loop=%d ok=%t", path, loop, ok)

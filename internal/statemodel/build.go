@@ -305,21 +305,18 @@ func (m *Model) deriveTransitions() {
 			}
 		}
 	}
-	m.Transitions = es.transitions()
+	m.Transitions = es.transitions(len(m.States))
 }
 
 // edgeSet collects the transitions of a model as compact
-// (from, to, prototype) records, deduplicated by (from, to, label,
-// app). A prototype carries everything but the endpoints, so derived
-// transitions share one Event, Guard and label per prototype.
+// (from, to, prototype) records. A prototype carries everything but
+// the endpoints, so derived transitions share one Event, Guard and
+// label per prototype. Recording is a plain append; transitions drops
+// repeated (from, to, label, app) records when it materialises them.
 type edgeSet struct {
-	// seen holds (class, from, to) packed into one integer, where
-	// class numbers the distinct (label, app) pairs; state IDs fit in
-	// stateBits because Build and Union stay within maxStates.
-	seen    map[uint64]struct{}
-	classes map[labelApp]uint64
+	classes map[labelApp]int32
 	protos  []Transition
-	class   []uint64 // per prototype
+	class   []int32 // per prototype: the number of its (label, app) pair
 	edges   []edge
 }
 
@@ -333,7 +330,7 @@ type edge struct {
 }
 
 func newEdgeSet() *edgeSet {
-	return &edgeSet{seen: map[uint64]struct{}{}, classes: map[labelApp]uint64{}}
+	return &edgeSet{classes: map[labelApp]int32{}}
 }
 
 // proto registers a transition prototype, stamping its rendered label.
@@ -342,7 +339,7 @@ func (es *edgeSet) proto(t Transition) int32 {
 	la := labelApp{t.label, t.App}
 	c, ok := es.classes[la]
 	if !ok {
-		c = uint64(len(es.classes))
+		c = int32(len(es.classes))
 		es.classes[la] = c
 	}
 	es.protos = append(es.protos, t)
@@ -350,23 +347,66 @@ func (es *edgeSet) proto(t Transition) int32 {
 	return int32(len(es.protos) - 1)
 }
 
-// add records the transition from → to of prototype p unless an equal
-// one (same endpoints, label and app) is already present.
+// add records the transition from → to of prototype p.
 func (es *edgeSet) add(from, to int, p int32) {
-	k := es.class[p]<<(2*stateBits) | uint64(from)<<stateBits | uint64(to)
-	if _, dup := es.seen[k]; dup {
-		return
-	}
-	es.seen[k] = struct{}{}
 	es.edges = append(es.edges, edge{from: int32(from), to: int32(to), proto: p})
 }
 
-// transitions materialises the recorded transitions in insertion order.
-func (es *edgeSet) transitions() []Transition {
-	out := make([]Transition, len(es.edges))
+// transitions materialises the recorded transitions of a model with n
+// states in insertion order, keeping the first of each set of equal
+// ones (same endpoints, label and app). Duplicates are found without a
+// map: a counting sort buckets the records by source, insertion order
+// preserved, and within a bucket each target chains the records kept
+// so far (one per distinct label and app on that edge), reset by a
+// per-target stamp when the bucket changes.
+func (es *edgeSet) transitions(n int) []Transition {
+	start := make([]int32, n+1)
+	for _, e := range es.edges {
+		start[e.from+1]++
+	}
+	for s := 0; s < n; s++ {
+		start[s+1] += start[s]
+	}
+	bySource := make([]int32, len(es.edges))
 	for i, e := range es.edges {
-		out[i] = es.protos[e.proto]
-		out[i].From, out[i].To = int(e.from), int(e.to)
+		bySource[start[e.from]] = int32(i)
+		start[e.from]++
+	}
+
+	// head[to] is the last kept record into to from the current
+	// source (valid while stamp[to] is that source + 1); next links a
+	// kept record to the one kept before it.
+	stamp := make([]int32, n)
+	head := make([]int32, n)
+	next := make([]int32, len(es.edges))
+	keep := make([]bool, len(es.edges))
+	kept := 0
+	for _, i := range bySource {
+		e := es.edges[i]
+		if stamp[e.to] != e.from+1 {
+			stamp[e.to], head[e.to] = e.from+1, -1
+		}
+		dup := false
+		for j := head[e.to]; j >= 0; j = next[j] {
+			if es.class[es.edges[j].proto] == es.class[e.proto] {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			next[i], head[e.to] = head[e.to], i
+			keep[i] = true
+			kept++
+		}
+	}
+
+	out := make([]Transition, 0, kept)
+	for i, e := range es.edges {
+		if keep[i] {
+			t := es.protos[e.proto]
+			t.From, t.To = int(e.from), int(e.to)
+			out = append(out, t)
+		}
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -146,26 +147,17 @@ func dumpModel(w io.Writer, label string, m *statemodel.Model, err error) {
 
 	k := kripke.FromModel(m)
 	for s := 0; s < k.N; s++ {
-		labels := make([]string, 0, len(k.Labels[s]))
-		for p := range k.Labels[s] {
-			labels = append(labels, p)
-		}
-		sort.Strings(labels)
-		fmt.Fprintf(w, "k %d %q succs=%v preds=%v labels=%q\n", s, k.Names[s], k.Succs[s], k.Preds[s], labels)
+		fmt.Fprintf(w, "k %d %q succs=%v preds=%v labels=%q\n", s, k.Names[s], k.Succs[s], k.Preds[s], k.PropsAt(s))
 	}
 	fmt.Fprintf(w, "props %q\n", k.Props())
-	edges := make([][2]int, 0, len(k.EdgeInfo))
-	for e := range k.EdgeInfo {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
+	for s := 0; s < k.N; s++ {
+		succs := slices.Clone(k.Succs[s])
+		slices.Sort(succs)
+		for _, t := range succs {
+			if labels := k.EdgeLabels(s, t); len(labels) > 0 {
+				fmt.Fprintf(w, "edge %d->%d %s\n", s, t, strings.Join(labels, " | "))
+			}
 		}
-		return edges[i][1] < edges[j][1]
-	})
-	for _, e := range edges {
-		fmt.Fprintf(w, "edge %d->%d %s\n", e[0], e[1], strings.Join(k.EdgeInfo[e], " | "))
 	}
 	io.WriteString(w, smv.Emit(m, nil))
 	io.WriteString(w, m.Dot())

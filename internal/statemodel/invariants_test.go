@@ -135,6 +135,34 @@ func TestModelInvariantsGroups(t *testing.T) {
 	}
 }
 
+// TestEdgeSetKeepsFirstOccurrence pins the dedup's order: of equal
+// records (same endpoints, label and app) the first added survives,
+// and survivors keep insertion order.
+func TestEdgeSetKeepsFirstOccurrence(t *testing.T) {
+	es := newEdgeSet()
+	ev := Event{VarKey: "switch.switch", Value: "on"}
+	a := es.proto(Transition{Event: ev, Handler: "first"})
+	aAgain := es.proto(Transition{Event: ev, Handler: "second"}) // same label and app as a
+	b := es.proto(Transition{Event: ev, App: 1})
+	for _, e := range []edge{{1, 2, a}, {0, 1, b}, {1, 2, aAgain}, {1, 2, b}, {0, 1, b}, {0, 1, a}} {
+		es.add(int(e.from), int(e.to), e.proto)
+	}
+	got := es.transitions(3)
+	want := []struct {
+		from, to, app int
+		handler       string
+	}{{1, 2, 0, "first"}, {0, 1, 1, ""}, {1, 2, 1, ""}, {0, 1, 0, "first"}}
+	if len(got) != len(want) {
+		t.Fatalf("got %d transitions, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.From != w.from || g.To != w.to || g.App != w.app || g.Handler != w.handler {
+			t.Errorf("transition %d = %d->%d app %d handler %q, want %+v", i, g.From, g.To, g.App, g.Handler, w)
+		}
+	}
+}
+
 // TestBuildDeterministic: two builds of the same app produce identical
 // models (variable order, state order, transition set) — required for
 // reproducible reports.

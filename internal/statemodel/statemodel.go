@@ -264,12 +264,8 @@ func (m *Model) internState(idx []int) int {
 func (m *Model) stateOf(k uint64) int { return m.stateID[k] }
 
 // maxStates bounds state enumeration; the paper's apps stay under 200
-// states after reduction. State IDs of extracted models therefore fit
-// in stateBits bits.
-const (
-	stateBits = 17
-	maxStates = 1 << stateBits
-)
+// states after reduction.
+const maxStates = 1 << 17
 
 // numericLevels is the discretisation used for the before-reduction
 // count (batteries and power meters report ~100 levels, the paper's

@@ -87,7 +87,7 @@ func Union(models ...*Model) (*Model, error) {
 		}
 		appOffset += len(in.Apps)
 	}
-	u.Transitions = es.transitions()
+	u.Transitions = es.transitions(len(u.States))
 	u.detectNondeterminism()
 	return u, nil
 }

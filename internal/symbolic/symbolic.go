@@ -108,9 +108,10 @@ func (e *Engine) propSet(p string) bdd.Ref {
 	if r, ok := e.props[p]; ok {
 		return r
 	}
+	states := e.K.PropStates(p)
 	r := bdd.False
 	for s := 0; s < e.K.N; s++ {
-		if e.K.HasProp(s, p) {
+		if states.Has(s) {
 			r = e.m.Or(r, e.stateEnc[s])
 		}
 	}

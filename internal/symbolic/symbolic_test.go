@@ -19,10 +19,10 @@ func TestAgainstExplicitOnSmallStructure(t *testing.T) {
 	k.AddEdge(2, 0, "")
 	k.AddEdge(2, 3, "")
 	k.AddEdge(3, 3, "")
-	k.Labels[3]["goal"] = true
-	k.Labels[0]["a"] = true
-	k.Labels[1]["a"] = true
-	k.Labels[2]["a"] = true
+	k.SetProp(3, "goal")
+	k.SetProp(0, "a")
+	k.SetProp(1, "a")
+	k.SetProp(2, "a")
 
 	e := New(k)
 	for _, src := range []string{
@@ -67,10 +67,10 @@ func TestRandomStructuresAgree(t *testing.T) {
 				k.AddEdge(s, rng.Intn(n), "")
 			}
 			if rng.Intn(2) == 0 {
-				k.Labels[s]["p"] = true
+				k.SetProp(s, "p")
 			}
 			if rng.Intn(3) == 0 {
-				k.Labels[s]["q"] = true
+				k.SetProp(s, "q")
 			}
 		}
 		e := New(k)
