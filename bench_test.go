@@ -234,8 +234,8 @@ func BenchmarkAblationPathMerging(b *testing.B) {
 }
 
 // BenchmarkBatch measures the full-corpus market audit (65 apps + the
-// Table 4 groups) at several batch-worker counts. Every run is cold
-// (no cache), so the parallel sub-benchmarks measure real fan-out;
+// Table 4 groups) at several batch-worker counts. Every run analyzes
+// every item, so the parallel sub-benchmarks measure real fan-out;
 // speedup over workers/1 tracks GOMAXPROCS — on a single-core runner
 // the times are expected to be flat. cmd/soteria-bench -parallel-bench
 // writes the sequential-vs-parallel comparison to BENCH_parallel.json.
@@ -243,7 +243,7 @@ func BenchmarkBatch(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers/%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep := audit.Run(context.Background(), workers, nil)
+				rep := audit.Run(context.Background(), workers)
 				for _, e := range rep.Apps {
 					if e.Err != nil {
 						b.Fatal(e.Err)
@@ -251,17 +251,6 @@ func BenchmarkBatch(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkBatchCached measures the same audit with a warm memoizing
-// cache — the steady-state cost of re-auditing an unchanged corpus.
-func BenchmarkBatchCached(b *testing.B) {
-	cache := core.NewCache()
-	audit.Run(context.Background(), 1, cache) // warm
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		audit.Run(context.Background(), 1, cache)
 	}
 }
 

@@ -7,7 +7,6 @@
 //	soteria-bench -table 2|3|4|maliot
 //	soteria-bench -fig 11a|11b|union|verify
 //	soteria-bench -ablation predicates|merging
-//	soteria-bench -parallel N     # fan experiment analyses out over N workers
 //	soteria-bench -parallel-bench # time sequential vs parallel corpus audit
 //	                              # at each GOMAXPROCS in -parallel-bench-procs
 //	                              # (default 1,4,8), write BENCH_parallel.json
@@ -47,7 +46,6 @@ func main() {
 	table := flag.String("table", "", "regenerate one table: 2, 3, 4, or maliot")
 	fig := flag.String("fig", "", "regenerate one figure: 11a, 11b, union, or verify")
 	ablation := flag.String("ablation", "", "run one ablation: predicates or merging")
-	parallel := flag.Int("parallel", 1, "fan batch analyses out over this many workers (outputs are identical at any setting)")
 	parallelBench := flag.Bool("parallel-bench", false, "benchmark a sequential vs parallel market audit and write BENCH_parallel.json")
 	benchOut := flag.String("parallel-bench-out", "BENCH_parallel.json", "output path for -parallel-bench")
 	benchProcs := flag.String("parallel-bench-procs", "1,4,8", "comma-separated GOMAXPROCS settings to sweep in -parallel-bench")
@@ -59,8 +57,6 @@ func main() {
 	obsBenchPairs := flag.Int("obs-bench-pairs", 40, "off/on measurement pairs for -obs-bench")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
-
-	experiments.Parallel = *parallel
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -270,7 +266,7 @@ func runParallelBench(procs, out string) error {
 	defer runtime.GOMAXPROCS(restore)
 
 	// Discarded warmup pass (sequential; results dropped).
-	_ = audit.Run(ctx, 1, nil)
+	_ = audit.Run(ctx, 1)
 
 	res := parallelBenchResult{HostCPUs: runtime.NumCPU()}
 	for i, field := range strings.Split(procs, ",") {
@@ -288,7 +284,7 @@ func runParallelBench(procs, out string) error {
 		var seqDur, parDur time.Duration
 		timeRun := func(workers int) (*audit.Report, time.Duration) {
 			t0 := time.Now()
-			r := audit.Run(ctx, workers, nil)
+			r := audit.Run(ctx, workers)
 			return r, time.Since(t0)
 		}
 		if i%2 == 0 {

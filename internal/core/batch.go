@@ -14,9 +14,7 @@ import (
 
 // BatchItem is one unit of a batch analysis: a single app or a
 // multi-app environment, identified by Key in the results. Provide
-// either Sources (parsed through the batch cache, enabling IR and
-// analysis reuse) or pre-parsed Apps; when both are set, Apps wins
-// and the cache is bypassed.
+// either Sources or pre-parsed Apps; when both are set, Apps wins.
 type BatchItem struct {
 	Key     string
 	Sources []NamedSource
@@ -32,9 +30,6 @@ type BatchResult struct {
 	Key      string
 	Analysis *Analysis
 	Err      error
-	// Cached is true when the result was served from the batch cache
-	// without re-running the pipeline.
-	Cached bool
 }
 
 // BatchOptions configures a batch run.
@@ -44,12 +39,6 @@ type BatchOptions struct {
 	// Parallel bounds the number of items analyzed concurrently;
 	// 0 defaults to GOMAXPROCS, values below 2 run sequentially.
 	Parallel int
-	// Cache, when non-nil, memoizes parsed IR per source and completed
-	// analyses per item (keyed by source hashes + options, see
-	// AnalysisKey), so repeated audits — the same app in several groups,
-	// the same corpus across tables — reuse whole analyses instead of
-	// rebuilding them.
-	Cache *Cache
 }
 
 // AnalyzeBatch analyzes the items with a bounded worker pool and
@@ -96,10 +85,12 @@ func AnalyzeBatch(ctx context.Context, bo BatchOptions, items ...BatchItem) []Ba
 	return results
 }
 
-// analyzeItem runs one batch item end to end: cache lookup, parsing,
-// analysis, cache store. The recovery boundary contains panics that
-// would otherwise escape between pipeline boundaries (e.g. an injected
-// fault at the batch-item site) so sibling items are unaffected.
+// analyzeItem runs one batch item through the same front door as a
+// single analysis: AnalyzeSourcesContext for Sources items,
+// AnalyzeAppsContext for Apps items. The recovery boundary contains
+// panics that would otherwise escape between pipeline boundaries (e.g.
+// an injected fault at the batch-item site) so sibling items are
+// unaffected.
 func analyzeItem(ctx context.Context, bo BatchOptions, it BatchItem) BatchResult {
 	// The item span nests the whole per-item pipeline (ir → statemodel →
 	// kripke → check) under one node of the job's trace tree.
@@ -112,40 +103,15 @@ func analyzeItem(ctx context.Context, bo BatchOptions, it BatchItem) BatchResult
 		br.Err = fmt.Errorf("batch %s: %w", it.Key, err)
 		return br
 	}
-
-	cacheKey := ""
-	if bo.Cache != nil && len(it.Apps) == 0 && len(it.Sources) > 0 {
-		cacheKey = AnalysisKey(it.Sources, bo.Options)
-		if an, ok := bo.Cache.LookupAnalysis(cacheKey); ok {
-			br.Analysis, br.Cached = an, true
-			isp.Set("cached", "true")
-			return br
-		}
-	}
-
 	err := guard.Run("batch.item", func() error {
 		faultinject.HitKey(faultinject.SiteBatchItem, it.Key)
-		apps := it.Apps
-		if len(apps) == 0 {
-			irsp := obs.Start(ctx, "ir")
-			apps = make([]*ir.App, len(it.Sources))
-			for i, s := range it.Sources {
-				app, err := bo.Cache.ParseSource(s)
-				if err != nil {
-					irsp.End()
-					return fmt.Errorf("parsing %s: %w", s.Name, err)
-				}
-				apps[i] = app
-			}
-			irsp.SetInt("apps", int64(len(apps)))
-			irsp.End()
+		var err error
+		if len(it.Apps) > 0 {
+			br.Analysis, err = AnalyzeAppsContext(ctx, bo.Options, it.Apps...)
+		} else {
+			br.Analysis, err = AnalyzeSourcesContext(ctx, bo.Options, it.Sources...)
 		}
-		an, err := AnalyzeAppsContext(ctx, bo.Options, apps...)
-		if err != nil {
-			return err
-		}
-		br.Analysis = an
-		return nil
+		return err
 	})
 	if err != nil {
 		// A fault that escaped the per-item pipeline (rather than being
@@ -153,10 +119,6 @@ func analyzeItem(ctx context.Context, bo BatchOptions, it BatchItem) BatchResult
 		// failure instead of tearing down the batch.
 		br.Analysis = nil
 		br.Err = fmt.Errorf("batch %s: %w", it.Key, err)
-		return br
-	}
-	if cacheKey != "" && br.Analysis != nil {
-		bo.Cache.StoreAnalysis(cacheKey, br.Analysis)
 	}
 	return br
 }

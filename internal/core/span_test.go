@@ -85,6 +85,43 @@ func TestSpanTreeStructure(t *testing.T) {
 	}
 }
 
+// TestBatchItemSpanShape: a batch item built from Sources runs the
+// same pipeline as AnalyzeSourcesContext. Under its item span it has
+// the single call's shape, with exactly one ir span — the span the
+// daemon's ir phase histogram is filled from.
+func TestBatchItemSpanShape(t *testing.T) {
+	src := NamedSource{Name: "smoke-alarm", Source: paperapps.SmokeAlarm}
+	single := obs.NewRoot("item")
+	if _, err := AnalyzeSourcesContext(obs.WithSpan(context.Background(), single), DefaultOptions(), src); err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	single.End()
+
+	job := obs.NewRoot("job")
+	r := AnalyzeBatch(obs.WithSpan(context.Background(), job), BatchOptions{Options: DefaultOptions(), Parallel: 1},
+		BatchItem{Key: "smoke", Sources: []NamedSource{src}})[0]
+	job.End()
+	if r.Err != nil {
+		t.Fatalf("batch item: %v", r.Err)
+	}
+	items := job.Children()
+	if len(items) != 1 || items[0].Name() != "item" {
+		t.Fatalf("job children = %s, want one item span", job.Shape())
+	}
+	if got, want := items[0].SortedShape(), single.SortedShape(); got != want {
+		t.Errorf("batch item shape diverges from AnalyzeSourcesContext:\n%s\n---\n%s", got, want)
+	}
+	irs := 0
+	items[0].Walk(func(_ int, sp *obs.Span) {
+		if sp.Name() == "ir" {
+			irs++
+		}
+	})
+	if irs != 1 {
+		t.Errorf("batch item has %d ir spans, want 1", irs)
+	}
+}
+
 // Benchmarks for the tracing overhead budget: the traced variant must
 // stay within a few percent of the untraced one (soteria-bench
 // -obs-bench enforces <3% on medians).

@@ -87,7 +87,7 @@ func TestParallelTaintBatchDeterministic(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	seq := AnalyzeBatch(context.Background(), BatchOptions{Options: opts, Parallel: 1}, items...)
-	par := AnalyzeBatch(context.Background(), BatchOptions{Options: opts, Parallel: 4, Cache: NewCache()}, items...)
+	par := AnalyzeBatch(context.Background(), BatchOptions{Options: opts, Parallel: 4}, items...)
 	if len(seq) != len(items) || len(par) != len(items) {
 		t.Fatalf("results = %d/%d, want %d", len(seq), len(par), len(items))
 	}

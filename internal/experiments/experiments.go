@@ -20,6 +20,7 @@ import (
 	"github.com/soteria-analysis/soteria/internal/maliot"
 	"github.com/soteria-analysis/soteria/internal/market"
 	"github.com/soteria-analysis/soteria/internal/modelcheck"
+	"github.com/soteria-analysis/soteria/internal/obs"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 	"github.com/soteria-analysis/soteria/internal/properties"
 	"github.com/soteria-analysis/soteria/internal/report"
@@ -30,24 +31,12 @@ import (
 
 func parseSpec(a market.AppSpec) (*ir.App, error) { return a.Parse() }
 
-// Parallel bounds the batch worker pool the table generators hand to
-// core.AnalyzeBatch (values below 2 run sequentially). The tables are
-// deterministic, so the output is identical at any setting; cmd/
-// soteria-bench sets it from -parallel.
-var Parallel = 1
-
-// cache memoizes IR and whole analyses across the tables: Table 3's 65
-// individual analyses feed Table 4's group parses, Fig. 11a reuses the
-// models Table 2 built, and regenerating a table is nearly free.
-var cache = core.NewCache()
-
 // modelOnly runs the pipeline without any property checking — source →
 // IR → state model → Kripke — which is all the dataset tables need.
 var modelOnly = core.Options{}
 
-// batchSpecs analyzes one batch item per app spec (key = spec ID) and
-// returns the results in spec order, failing on the first hard error.
-func batchSpecs(opts core.Options, specs []market.AppSpec) ([]core.BatchResult, error) {
+// specItems builds one batch item per app spec (key = spec ID).
+func specItems(specs []market.AppSpec) []core.BatchItem {
 	items := make([]core.BatchItem, len(specs))
 	for i, spec := range specs {
 		items[i] = core.BatchItem{
@@ -55,11 +44,11 @@ func batchSpecs(opts core.Options, specs []market.AppSpec) ([]core.BatchResult, 
 			Sources: []core.NamedSource{{Name: spec.Name, Source: spec.Source}},
 		}
 	}
-	return runBatch(opts, items)
+	return items
 }
 
-// batchGroups analyzes one batch item per group (key = group ID).
-func batchGroups(opts core.Options, groups []market.Group) ([]core.BatchResult, error) {
+// groupItems builds one batch item per group (key = group ID).
+func groupItems(groups []market.Group) []core.BatchItem {
 	items := make([]core.BatchItem, len(groups))
 	for i, g := range groups {
 		var srcs []core.NamedSource
@@ -69,12 +58,14 @@ func batchGroups(opts core.Options, groups []market.Group) ([]core.BatchResult, 
 		}
 		items[i] = core.BatchItem{Key: g.ID, Sources: srcs}
 	}
-	return runBatch(opts, items)
+	return items
 }
 
+// runBatch analyzes the items fanned out at GOMAXPROCS and returns the
+// results in item order, failing on the first hard error. The tables
+// are deterministic, so their output is the same at any worker count.
 func runBatch(opts core.Options, items []core.BatchItem) ([]core.BatchResult, error) {
-	bo := core.BatchOptions{Options: opts, Parallel: Parallel, Cache: cache}
-	results := core.AnalyzeBatch(context.Background(), bo, items...)
+	results := core.AnalyzeBatch(context.Background(), core.BatchOptions{Options: opts}, items...)
 	for _, r := range results {
 		if r.Err != nil {
 			return nil, r.Err
@@ -94,7 +85,7 @@ type corpusStats struct {
 }
 
 func statsFor(apps []market.AppSpec) (*corpusStats, error) {
-	results, err := batchSpecs(modelOnly, apps)
+	results, err := runBatch(modelOnly, specItems(apps))
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +146,7 @@ func Table3() (*report.Table, error) {
 	}
 	officialsFlagged := 0
 	all := market.All()
-	results, err := batchSpecs(core.DefaultOptions(), all)
+	results, err := runBatch(core.DefaultOptions(), specItems(all))
 	if err != nil {
 		return nil, err
 	}
@@ -196,13 +187,15 @@ func Table4() (*report.Table, error) {
 		Title:   "Table 4: Soteria's results in multi-app environments",
 		Headers: []string{"Group", "Members", "Flagged", "Expected (paper)", "Match"},
 	}
-	groups := market.Groups()
-	groupResults, err := batchGroups(core.DefaultOptions(), groups)
+	// One batch serves both parts of the table: the candidate groups of
+	// §6.1's group study open with G.1–G.3, in Table 4 order.
+	candidates := market.CandidateGroups()
+	results, err := runBatch(core.DefaultOptions(), groupItems(candidates))
 	if err != nil {
 		return nil, err
 	}
-	for i, g := range groups {
-		got := groupResults[i].Analysis.ViolatedIDs()
+	for i, g := range market.Groups() {
+		got := results[i].Analysis.ViolatedIDs()
 		sort.Strings(got)
 		gotSet := map[string]bool{}
 		for _, id := range got {
@@ -219,26 +212,21 @@ func Table4() (*report.Table, error) {
 	}
 	t.Note("a group 'matches' when every Table 4 property is flagged; extra findings are member-level violations subsumed by the group run")
 
-	// §6.1's group study: 28 candidate groups examined, three
-	// violating. G.1–G.3's analyses are cache hits from the loop above.
+	// §6.1's group study: 28 candidate groups examined, three violating.
 	violating := 0
-	candidateResults, err := batchGroups(core.DefaultOptions(), market.CandidateGroups())
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range candidateResults {
+	for _, r := range results {
 		if len(r.Analysis.Violations) > 0 {
 			violating++
 		}
 	}
 	t.Note("group study: %d of %d candidate groups violating (paper: 3 of 28)",
-		violating, len(market.CandidateGroups()))
+		violating, len(candidates))
 	return t, nil
 }
 
 // MalIoTTable reproduces the Appendix C evaluation.
 func MalIoTTable() (*report.Table, *maliot.SuiteResult, error) {
-	res, err := maliot.RunParallel(context.Background(), Parallel)
+	res, err := maliot.RunParallel(context.Background(), 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -265,7 +253,7 @@ func Fig11a() (*report.Table, error) {
 	}
 	idx := 0
 	all := market.All()
-	results, err := batchSpecs(modelOnly, all)
+	results, err := runBatch(modelOnly, specItems(all))
 	if err != nil {
 		return nil, err
 	}
@@ -291,6 +279,8 @@ func Fig11a() (*report.Table, error) {
 
 // Fig11b reproduces the extraction-overhead figure (bottom of
 // Fig. 11): state-model extraction time against the number of states.
+// Items are analyzed one at a time, each under its own span root, so
+// no other analysis competes for the CPUs while a point is timed.
 func Fig11b() (*report.Series, error) {
 	s := &report.Series{
 		Title:  "Fig. 11 (bottom): state-model extraction time vs states",
@@ -302,44 +292,26 @@ func Fig11b() (*report.Series, error) {
 		ms     float64
 	}
 	var pts []point
-	// Analysis.Timings.Model is exactly the measured span: state-model
-	// extraction plus Kripke construction. The shared cache is bypassed
-	// here (nil) so every point is a fresh measurement, not a replay of
-	// an earlier table's timing.
-	addPoints := func(results []core.BatchResult) {
-		for _, r := range results {
-			pts = append(pts, point{
-				states: len(r.Analysis.Model.States),
-				ms:     float64(r.Analysis.Timings.Model.Microseconds()) / 1000,
-			})
-		}
-	}
-	all := market.All()
-	items := make([]core.BatchItem, len(all))
-	for i, spec := range all {
-		items[i] = core.BatchItem{
-			Key:     spec.ID,
-			Sources: []core.NamedSource{{Name: spec.Name, Source: spec.Source}},
-		}
-	}
 	// Multi-app combinations extend the state-count range, as the
 	// paper's larger apps do.
-	for _, g := range market.Groups() {
-		var srcs []core.NamedSource
-		for _, id := range g.Members {
-			spec, _ := market.ByID(id)
-			srcs = append(srcs, core.NamedSource{Name: spec.Name, Source: spec.Source})
+	items := append(specItems(market.All()), groupItems(market.Groups())...)
+	for _, it := range items {
+		root := obs.NewRoot("fig11b")
+		an, err := core.AnalyzeSourcesContext(obs.WithSpan(context.Background(), root), modelOnly, it.Sources...)
+		root.End()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", it.Key, err)
 		}
-		items = append(items, core.BatchItem{Key: g.ID, Sources: srcs})
-	}
-	bo := core.BatchOptions{Options: modelOnly, Parallel: Parallel}
-	results := core.AnalyzeBatch(context.Background(), bo, items...)
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, r.Err
+		// The measured span is state-model extraction plus Kripke
+		// construction.
+		var d time.Duration
+		for _, sp := range root.Children() {
+			if sp.Name() == "statemodel" || sp.Name() == "kripke" {
+				d += sp.Duration()
+			}
 		}
+		pts = append(pts, point{states: len(an.Model.States), ms: float64(d.Microseconds()) / 1000})
 	}
-	addPoints(results)
 	sort.Slice(pts, func(i, j int) bool { return pts[i].states < pts[j].states })
 	// Bucket identical state counts (average the times).
 	for i := 0; i < len(pts); {

@@ -57,6 +57,37 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
+// WriteFileAtomic replaces path with data so that a crash leaves
+// either the old contents or the new ones, never a mix: a temp file
+// named by pattern (as in os.CreateTemp) in path's directory → write →
+// fsync → close → rename, removing the temp file on any failure. The
+// directory is then fsynced best-effort: the file is already in place
+// and fsynced, so a failed directory fsync can lose only the new entry
+// to a power cut, which the callers' recovery tolerates.
+func WriteFileAtomic(fsys FS, path, pattern string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := fsys.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp.Name()) // best effort: the write error is what the caller reports
+		return err
+	}
+	_ = fsys.SyncDir(dir)
+	return nil
+}
+
 // OS is the production FS: plain os package calls.
 type OS struct{}
 

@@ -31,10 +31,8 @@ type Report struct {
 // Table 4 group as a multi-app environment — fanned out over a batch
 // worker pool. parallel bounds concurrent analyses (values below 2 run
 // sequentially); results are always in corpus order and identical to a
-// sequential audit's. The cache may be nil; passing one lets group
-// audits reuse IR parsed for the individual passes, and repeated audits
-// (across experiment tables) reuse whole analyses.
-func Run(ctx context.Context, parallel int, cache *core.Cache) *Report {
+// sequential audit's.
+func Run(ctx context.Context, parallel int) *Report {
 	apps := market.All()
 	groups := market.Groups()
 
@@ -60,7 +58,6 @@ func Run(ctx context.Context, parallel int, cache *core.Cache) *Report {
 	bo := core.BatchOptions{
 		Options:  core.DefaultOptions(),
 		Parallel: parallel,
-		Cache:    cache,
 	}
 	results := core.AnalyzeBatch(ctx, bo, items...)
 

@@ -268,27 +268,9 @@ func parseJournal(data []byte) ([]journalEvent, int) {
 
 // writeWhole atomically replaces the journal file's contents.
 func (j *journal) writeWhole(data []byte) error {
-	dir := filepath.Dir(j.path)
-	tmp, err := j.fs.CreateTemp(dir, ".tmp-journal-*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+	if err := fsio.WriteFileAtomic(j.fs, j.path, ".tmp-journal-*", data); err != nil {
+		return fmt.Errorf("journal: rewriting %s: %w", j.path, err)
 	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = j.fs.Rename(tmp.Name(), j.path)
-	}
-	if werr != nil {
-		j.fs.Remove(tmp.Name())
-		return fmt.Errorf("journal: rewriting %s: %w", j.path, werr)
-	}
-	_ = j.fs.SyncDir(dir)
 	return nil
 }
 

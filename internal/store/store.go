@@ -328,30 +328,12 @@ func (s *Store) Put(key string, rec *report.Record) error {
 	if err != nil {
 		return err
 	}
-	data := encodeRecord(payload)
-	tmp, err := s.fs.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+	// The temp pattern must keep the ".tmp-" prefix Open's sweep
+	// removes. A lost directory entry is re-verified by the next Open's
+	// scan, so the best-effort directory fsync cannot fail the Put.
+	if err := fsio.WriteFileAtomic(s.fs, s.path(key), ".tmp-*", encodeRecord(payload)); err != nil {
+		return fmt.Errorf("store: writing %s: %w", key, err)
 	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = s.fs.Rename(tmp.Name(), s.path(key))
-	}
-	if werr != nil {
-		s.fs.Remove(tmp.Name())
-		return fmt.Errorf("store: writing %s: %w", key, werr)
-	}
-	// The record is in place and fsynced; a failed directory fsync can
-	// only lose the directory entry to a power cut, and the next Open's
-	// scan re-verifies whatever survives — so don't fail the Put.
-	_ = s.fs.SyncDir(s.dir)
 	s.promote(key, rec)
 	s.puts.Add(1)
 	return nil

@@ -35,8 +35,8 @@ func renderAudit(rep *audit.Report) string {
 // and requires byte-identical verdicts in identical order.
 func TestParallelBatchMarketCorpus(t *testing.T) {
 	ctx := context.Background()
-	seq := audit.Run(ctx, 1, nil)
-	par := audit.Run(ctx, 8, nil)
+	seq := audit.Run(ctx, 1)
+	par := audit.Run(ctx, 8)
 
 	if len(seq.Apps) != len(market.All()) {
 		t.Fatalf("audited %d apps, corpus has %d", len(seq.Apps), len(market.All()))
@@ -75,11 +75,11 @@ func TestParallelBatchMarketCorpus(t *testing.T) {
 // degrades, every other item's verdict is unchanged.
 func TestParallelBatchFaultIsolation(t *testing.T) {
 	ctx := context.Background()
-	baseline := audit.Run(ctx, 4, nil)
+	baseline := audit.Run(ctx, 4)
 
 	defer faultinject.Reset()
 	faultinject.ArmPanic(faultinject.SiteBatchItem, "TP3")
-	faulted := audit.Run(ctx, 4, nil)
+	faulted := audit.Run(ctx, 4)
 
 	if len(faulted.Apps) != len(baseline.Apps) {
 		t.Fatalf("faulted audit lost entries: %d vs %d", len(faulted.Apps), len(baseline.Apps))

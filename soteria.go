@@ -24,8 +24,9 @@
 //	}
 //
 // Multi-app environments (paper §4.4) are analyzed with
-// AnalyzeEnvironment, which builds the union of the apps' state models
-// and reveals interactions invisible in isolation.
+// AnalyzeEnvironment, which extracts one joint state model over the
+// apps' merged variables and reveals interactions invisible in
+// isolation.
 package soteria
 
 import (
@@ -320,8 +321,10 @@ func AnalyzeContext(ctx context.Context, app *App, opts ...Option) (*Result, err
 }
 
 // AnalyzeEnvironment checks a collection of apps working in concert:
-// it builds the union state model (Algorithm 2) and verifies the
-// properties on the joint behaviour.
+// it runs joint state-model extraction over the apps' merged variables
+// (rather than Algorithm 2's structural union of per-app models, which
+// needs consistent abstract domains) and verifies the properties on
+// the joint behaviour.
 func AnalyzeEnvironment(apps []*App, opts ...Option) (*Result, error) {
 	return AnalyzeEnvironmentContext(context.Background(), apps, opts...)
 }
