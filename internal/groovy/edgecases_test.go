@@ -28,20 +28,21 @@ def h() {
 }
 
 func TestDollarWithoutIdent(t *testing.T) {
-	toks := lexOK(t, `"price: $5"`)
+	lx, toks := lexOKLexer(t, `"price: $5"`)
+	parts := lx.Parts(toks[0])
 	// $ followed by a digit is literal text.
-	if len(toks[0].Parts) != 1 || toks[0].Parts[0].IsExpr {
-		t.Errorf("parts = %+v", toks[0].Parts)
+	if len(parts) != 1 || parts[0].IsExpr {
+		t.Errorf("parts = %+v", parts)
 	}
-	if toks[0].Parts[0].Text != "price: $5" {
-		t.Errorf("text = %q", toks[0].Parts[0].Text)
+	if parts[0].Text != "price: $5" {
+		t.Errorf("text = %q", parts[0].Text)
 	}
 }
 
 func TestEscapedDollar(t *testing.T) {
-	toks := lexOK(t, `"cost \$10"`)
-	if len(toks[0].Parts) != 1 || toks[0].Parts[0].Text != "cost $10" {
-		t.Errorf("parts = %+v", toks[0].Parts)
+	lx, toks := lexOKLexer(t, `"cost \$10"`)
+	if parts := lx.Parts(toks[0]); len(parts) != 1 || parts[0].Text != "cost $10" {
+		t.Errorf("parts = %+v", parts)
 	}
 }
 

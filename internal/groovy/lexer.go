@@ -13,13 +13,38 @@ import (
 // backslash-newline continuations, and emits NL tokens at newlines and
 // semicolons so the parser can honour Groovy's newline-terminated
 // statements and command-call argument lists.
+//
+// The subset's syntax is ASCII, so the lexer scans bytes: blanks,
+// identifiers, numbers and operators go through byte loops, and their
+// text is sliced from the source. UTF-8 is decoded only where a
+// non-ASCII byte appears (a Unicode letter or digit, a comment) and in
+// string literals; columns count runes. A string literal with an
+// escape or a non-ASCII byte takes the decoding path, where each byte
+// of invalid UTF-8 becomes U+FFFD (the source of a ${…} part is still
+// scanned by bytes there, and only validated). Any other literal's
+// text and interpolation parts are sliced from the source. Tokens
+// fills one slice sized once from the source length; NUMBER values
+// and GSTRING parts go to side tables read through Num and Parts. At
+// most maxErrors lexical errors are recorded, and a bad character is
+// skipped in a loop, not by recursion.
 type Lexer struct {
 	src    string
 	off    int
 	line   int
 	col    int
+	toks   []Token
+	nums   []float64 // NUMBER values, indexed by Token.lit
+	parts  []GPart   // GSTRING parts, Token.nparts of them from Token.lit
 	errors []error
 }
+
+// maxPresize bounds the pre-sized token slice. Tokens sizes it at one
+// token per 5 source bytes (market apps have 4.96 to 6.54; interpolation
+// parts are short, hence the +4); a source longer than about
+// 5×maxPresize bytes grows it by append instead, so one large source,
+// or a chain of nested interpolation sub-parses, cannot reserve
+// megabytes it does not use.
+const maxPresize = 4096
 
 // NewLexer returns a Lexer over src.
 func NewLexer(src string) *Lexer {
@@ -35,12 +60,36 @@ type LexError struct {
 func (e *LexError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 func (l *Lexer) errorf(pos Pos, format string, args ...any) {
-	l.errors = append(l.errors, &LexError{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	if len(l.errors) < maxErrors {
+		l.errors = append(l.errors, &LexError{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	}
 }
 
 // Errors returns the lexical errors encountered so far.
 func (l *Lexer) Errors() []error { return l.errors }
 
+// Num returns the value of a NUMBER token produced by l and whether it
+// had no fractional part.
+func (l *Lexer) Num(t Token) (v float64, isInt bool) {
+	return l.nums[t.lit], strings.IndexByte(t.Text, '.') < 0
+}
+
+// Parts returns the interpolation parts of a GSTRING token produced by
+// l.
+func (l *Lexer) Parts(t Token) []GPart {
+	return l.parts[t.lit : t.lit+t.nparts]
+}
+
+// byteAt returns the byte at i, or 0 past the end of the source.
+func (l *Lexer) byteAt(i int) byte {
+	if i < len(l.src) {
+		return l.src[i]
+	}
+	return 0
+}
+
+// peek, peek2 and next step through the source a rune at a time. Only
+// the decoding path for string literals uses them.
 func (l *Lexer) peek() rune {
 	if l.off >= len(l.src) {
 		return 0
@@ -76,6 +125,19 @@ func (l *Lexer) next() rune {
 	return r
 }
 
+// advanceTo moves the cursor to end, counting the lines and the
+// columns (runes) in between.
+func (l *Lexer) advanceTo(end int) {
+	s := l.src[l.off:end]
+	if nl := strings.LastIndexByte(s, '\n'); nl >= 0 {
+		l.line += strings.Count(s, "\n")
+		l.col = 1
+		s = s[nl+1:]
+	}
+	l.col += utf8.RuneCountInString(s)
+	l.off = end
+}
+
 func (l *Lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
 
 func isIdentStart(r rune) bool {
@@ -86,217 +148,370 @@ func isIdentPart(r rune) bool {
 	return r == '_' || r == '$' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
+// ASCII byte classes.
+const (
+	bIdentPart  = 1 << iota // letter, digit, '_' or '$'
+	bIdentStart             // letter, '_' or '$'
+	bLetter                 // letter or '_': starts an identifier token
+	bDigit
+)
+
+var byteClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := 0; c < utf8.RuneSelf; c++ {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
+			t[c] = bIdentPart | bIdentStart | bLetter
+		case c == '$':
+			t[c] = bIdentPart | bIdentStart
+		case c >= '0' && c <= '9':
+			t[c] = bIdentPart | bDigit
+		}
+	}
+	return t
+}()
+
+// is reports whether b is an ASCII byte of class cls.
+func is(b byte, cls uint8) bool { return b < utf8.RuneSelf && byteClass[b]&cls != 0 }
+
 // Tokens lexes the entire input and returns the token stream, always
 // terminated by an EOF token. Lexical errors are recorded (see Errors)
 // and the offending characters skipped, so a best-effort stream is
 // returned even for malformed input.
 func (l *Lexer) Tokens() []Token {
-	var toks []Token
-	emit := func(t Token) { toks = append(toks, t) }
-	for {
-		t := l.scan()
-		// Collapse runs of NL into one.
-		if t.Kind == NL && len(toks) > 0 && toks[len(toks)-1].Kind == NL {
-			continue
-		}
-		emit(t)
-		if t.Kind == EOF {
-			return toks
-		}
+	l.toks = make([]Token, 0, min(len(l.src)/5+4, maxPresize))
+	for l.scan() {
 	}
+	return l.toks
 }
 
-func (l *Lexer) scan() Token {
-	for {
-		r := l.peek()
-		switch {
-		case r == 0:
-			return Token{Kind: EOF, Pos: l.pos()}
-		case r == '\n' || r == ';':
-			p := l.pos()
-			l.next()
-			return Token{Kind: NL, Pos: p}
-		case r == ' ' || r == '\t' || r == '\r':
-			l.next()
-		case r == '\\' && l.peek2() == '\n':
-			l.next()
-			l.next() // line continuation
-		case r == '/' && l.peek2() == '/':
-			for l.peek() != '\n' && l.peek() != 0 {
-				l.next()
+func (l *Lexer) emit(k TokKind, text string, p Pos) {
+	l.toks = append(l.toks, Token{Kind: k, Text: text, Pos: p})
+}
+
+// scan skips blanks, comments and continuations, lexes the next token
+// (or skips an unexpected character) and reports whether to go on: it
+// returns false once it has emitted EOF at the end of the input or at
+// a NUL byte.
+func (l *Lexer) scan() bool {
+	src := l.src
+	for l.off < len(src) {
+		switch c := src[l.off]; c {
+		case ' ', '\t', '\r':
+			i := l.off + 1
+			for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\r') {
+				i++
 			}
-		case r == '/' && l.peek2() == '*':
+			l.col += i - l.off
+			l.off = i
+		case '\n', ';':
 			p := l.pos()
-			l.next()
-			l.next()
-			closed := false
-			for l.peek() != 0 {
-				if l.peek() == '*' && l.peek2() == '/' {
-					l.next()
-					l.next()
-					closed = true
-					break
-				}
-				l.next()
+			l.off++
+			if c == '\n' {
+				l.line++
+				l.col = 1
+			} else {
+				l.col++
 			}
-			if !closed {
-				l.errorf(p, "unterminated block comment")
+			// Collapse runs of NL into one.
+			if n := len(l.toks); n == 0 || l.toks[n-1].Kind != NL {
+				l.emit(NL, "", p)
+			}
+			return true
+		case 0:
+			l.emit(EOF, "", l.pos())
+			return false
+		case '\\':
+			if l.byteAt(l.off+1) != '\n' {
+				l.scanToken()
+				return true
+			}
+			l.off += 2 // line continuation
+			l.line++
+			l.col = 1
+		case '/':
+			switch l.byteAt(l.off + 1) {
+			case '/':
+				l.skipLineComment()
+			case '*':
+				l.skipBlockComment()
+			default:
+				l.scanToken()
+				return true
 			}
 		default:
-			return l.scanToken()
+			l.scanToken()
+			return true
 		}
 	}
+	l.emit(EOF, "", l.pos())
+	return false
 }
 
-func (l *Lexer) scanToken() Token {
+// skipLineComment skips to the end of the line or to a NUL byte.
+func (l *Lexer) skipLineComment() {
+	i := l.off
+	for i < len(l.src) && l.src[i] != '\n' && l.src[i] != 0 {
+		i++
+	}
+	l.advanceTo(i)
+}
+
+// skipBlockComment skips a /* */ comment. An unterminated comment runs
+// to the end of the input or to a NUL byte.
+func (l *Lexer) skipBlockComment() {
 	p := l.pos()
-	r := l.peek()
+	i := l.off + 2
+	for i < len(l.src) && l.src[i] != 0 {
+		if l.src[i] == '*' && l.byteAt(i+1) == '/' {
+			l.advanceTo(i + 2)
+			return
+		}
+		i++
+	}
+	l.advanceTo(i)
+	l.errorf(p, "unterminated block comment")
+}
+
+func (l *Lexer) scanToken() {
+	p := l.pos()
+	c := l.src[l.off]
 	switch {
-	case isIdentStart(r) && r != '$':
-		return l.scanIdent(p)
+	case c >= utf8.RuneSelf:
+		l.scanNonASCII(p)
+		return
+	case is(c, bLetter):
+		l.scanIdent(p)
+		return
+	case is(c, bDigit):
+		l.scanNumber(p)
+		return
+	case c == '\'':
+		l.scanString(p)
+		return
+	case c == '"':
+		l.scanGString(p)
+		return
+	}
+	k, n := operator(c, l.byteAt(l.off+1))
+	if k == EOF {
+		switch c {
+		case '&', '|':
+			l.errorf(p, "unexpected '%c'", c)
+		default:
+			l.errorf(p, "unexpected character %q", rune(c))
+		}
+		l.off++
+		l.col++
+		return
+	}
+	l.emit(k, l.src[l.off:l.off+n], p)
+	l.off += n
+	l.col += n
+}
+
+// scanNonASCII lexes the token that starts with a non-ASCII rune: an
+// identifier that starts with a Unicode letter, or a number that starts
+// with a Unicode digit (which does not parse).
+func (l *Lexer) scanNonASCII(p Pos) {
+	r, w := utf8.DecodeRuneInString(l.src[l.off:])
+	switch {
+	case unicode.IsLetter(r):
+		l.scanIdent(p)
 	case unicode.IsDigit(r):
-		return l.scanNumber(p)
-	case r == '\'':
-		return l.scanString(p, '\'')
-	case r == '"':
-		return l.scanGString(p)
+		l.scanNumber(p)
+	default:
+		l.errorf(p, "unexpected character %q", r)
+		l.off += w
+		l.col++
 	}
-	l.next()
-	two := func(k TokKind, text string) Token {
-		l.next()
-		return Token{Kind: k, Text: text, Pos: p}
-	}
-	one := func(k TokKind, text string) Token {
-		return Token{Kind: k, Text: text, Pos: p}
-	}
-	switch r {
+}
+
+// operator classifies the punctuation or operator that starts with c
+// followed by d, returning its kind and length in bytes, or EOF if c
+// starts none.
+func operator(c, d byte) (TokKind, int) {
+	switch c {
 	case '(':
-		return one(LPAREN, "(")
+		return LPAREN, 1
 	case ')':
-		return one(RPAREN, ")")
+		return RPAREN, 1
 	case '{':
-		return one(LBRACE, "{")
+		return LBRACE, 1
 	case '}':
-		return one(RBRACE, "}")
+		return RBRACE, 1
 	case '[':
-		return one(LBRACKET, "[")
+		return LBRACKET, 1
 	case ']':
-		return one(RBRACKET, "]")
+		return RBRACKET, 1
 	case ',':
-		return one(COMMA, ",")
+		return COMMA, 1
 	case ':':
-		return one(COLON, ":")
+		return COLON, 1
 	case '.':
-		return one(DOT, ".")
+		return DOT, 1
 	case '?':
-		switch l.peek() {
+		switch d {
 		case ':':
-			return two(ELVIS, "?:")
+			return ELVIS, 2
 		case '.':
-			return two(SAFEDOT, "?.")
+			return SAFEDOT, 2
 		}
-		return one(QUESTION, "?")
+		return QUESTION, 1
 	case '=':
-		if l.peek() == '=' {
-			return two(EQ, "==")
+		if d == '=' {
+			return EQ, 2
 		}
-		return one(ASSIGN, "=")
+		return ASSIGN, 1
 	case '!':
-		if l.peek() == '=' {
-			return two(NEQ, "!=")
+		if d == '=' {
+			return NEQ, 2
 		}
-		return one(NOT, "!")
+		return NOT, 1
 	case '<':
-		if l.peek() == '=' {
-			return two(LEQ, "<=")
+		if d == '=' {
+			return LEQ, 2
 		}
-		return one(LT, "<")
+		return LT, 1
 	case '>':
-		if l.peek() == '=' {
-			return two(GEQ, ">=")
+		if d == '=' {
+			return GEQ, 2
 		}
-		return one(GT, ">")
+		return GT, 1
 	case '&':
-		if l.peek() == '&' {
-			return two(ANDAND, "&&")
+		if d == '&' {
+			return ANDAND, 2
 		}
-		l.errorf(p, "unexpected '&'")
-		return l.scan()
 	case '|':
-		if l.peek() == '|' {
-			return two(OROR, "||")
+		if d == '|' {
+			return OROR, 2
 		}
-		l.errorf(p, "unexpected '|'")
-		return l.scan()
 	case '+':
-		switch l.peek() {
+		switch d {
 		case '+':
-			return two(INCR, "++")
+			return INCR, 2
 		case '=':
-			return two(PLUSASSIGN, "+=")
+			return PLUSASSIGN, 2
 		}
-		return one(PLUS, "+")
+		return PLUS, 1
 	case '-':
-		switch l.peek() {
+		switch d {
 		case '-':
-			return two(DECR, "--")
+			return DECR, 2
 		case '=':
-			return two(MINUSASSIGN, "-=")
+			return MINUSASSIGN, 2
 		case '>':
-			return two(ARROW, "->")
+			return ARROW, 2
 		}
-		return one(MINUS, "-")
+		return MINUS, 1
 	case '*':
-		return one(STAR, "*")
+		return STAR, 1
 	case '/':
-		return one(SLASH, "/")
+		return SLASH, 1
 	case '%':
-		return one(PERCENT, "%")
+		return PERCENT, 1
 	}
-	l.errorf(p, "unexpected character %q", r)
-	return l.scan()
+	return EOF, 0
 }
 
-func (l *Lexer) scanIdent(p Pos) Token {
-	var sb strings.Builder
-	for isIdentPart(l.peek()) {
-		sb.WriteRune(l.next())
-	}
-	name := sb.String()
-	if k, ok := keywords[name]; ok {
-		return Token{Kind: k, Text: name, Pos: p}
-	}
-	return Token{Kind: IDENT, Text: name, Pos: p}
-}
-
-func (l *Lexer) scanNumber(p Pos) Token {
-	var sb strings.Builder
-	isInt := true
-	for unicode.IsDigit(l.peek()) {
-		sb.WriteRune(l.next())
-	}
-	if l.peek() == '.' && unicode.IsDigit(l.peek2()) {
-		isInt = false
-		sb.WriteRune(l.next())
-		for unicode.IsDigit(l.peek()) {
-			sb.WriteRune(l.next())
+// run advances over ASCII bytes of class cls and over non-ASCII runes
+// that match the Unicode predicate uni.
+func (l *Lexer) run(cls uint8, uni func(rune) bool) {
+	src := l.src
+	for {
+		i := l.off
+		for i < len(src) && is(src[i], cls) {
+			i++
+		}
+		l.col += i - l.off
+		l.off = i
+		if i == len(src) || src[i] < utf8.RuneSelf || !l.acceptRune(uni) {
+			return
 		}
 	}
+}
+
+// acceptRune advances over the non-ASCII rune at the cursor if it
+// matches uni.
+func (l *Lexer) acceptRune(uni func(rune) bool) bool {
+	r, w := utf8.DecodeRuneInString(l.src[l.off:])
+	if !uni(r) {
+		return false
+	}
+	l.off += w
+	l.col++
+	return true
+}
+
+func (l *Lexer) scanIdent(p Pos) {
+	start := l.off
+	l.run(bIdentPart, isIdentPart)
+	name := l.src[start:l.off]
+	l.emit(keyword(name), name, p)
+}
+
+// digitAt reports whether a (Unicode) digit starts at i.
+func (l *Lexer) digitAt(i int) bool {
+	if i >= len(l.src) {
+		return false
+	}
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return is(c, bDigit)
+	}
+	r, _ := utf8.DecodeRuneInString(l.src[i:])
+	return unicode.IsDigit(r)
+}
+
+func (l *Lexer) scanNumber(p Pos) {
+	start := l.off
+	l.run(bDigit, unicode.IsDigit)
+	if l.byteAt(l.off) == '.' && l.digitAt(l.off+1) {
+		l.off++
+		l.col++
+		l.run(bDigit, unicode.IsDigit)
+	}
+	text := l.src[start:l.off]
 	// Trailing type suffixes (Groovy's 10L, 2.5f, 3d) are accepted and
 	// ignored; they do not affect the analysis.
-	switch l.peek() {
+	switch l.byteAt(l.off) {
 	case 'L', 'l', 'f', 'F', 'd', 'D', 'g', 'G', 'i', 'I':
-		l.next()
+		l.off++
+		l.col++
 	}
-	text := sb.String()
 	v, err := strconv.ParseFloat(text, 64)
 	if err != nil {
 		l.errorf(p, "bad number %q", text)
 	}
-	return Token{Kind: NUMBER, Text: text, Num: v, IsInt: isInt, Pos: p}
+	l.nums = append(l.nums, v)
+	l.toks = append(l.toks, Token{Kind: NUMBER, Text: text, Pos: p, lit: int32(len(l.nums) - 1)})
 }
 
-func (l *Lexer) scanString(p Pos, quote rune) Token {
+// scanString lexes a single-quoted string. Its text is sliced from the
+// source unless it holds an escape or a non-ASCII byte.
+func (l *Lexer) scanString(p Pos) {
+	start := l.off + 1
+	for i := start; ; i++ {
+		switch c := l.byteAt(i); {
+		case c == '\'':
+			l.emit(STRING, l.src[start:i], p)
+			l.col += i + 1 - l.off
+			l.off = i + 1
+			return
+		case c == '\n' || c == 0: // a newline, a NUL byte or the end of input
+			l.errorf(p, "unterminated string")
+			l.emit(STRING, l.src[start:i], p)
+			l.col += i - l.off
+			l.off = i
+			return
+		case c == '\\' || c >= utf8.RuneSelf:
+			l.decodeString(p)
+			return
+		}
+	}
+}
+
+// decodeString lexes a single-quoted string rune by rune, resolving
+// escapes; invalid UTF-8 becomes U+FFFD.
+func (l *Lexer) decodeString(p Pos) {
 	l.next() // opening quote
 	var sb strings.Builder
 	for {
@@ -306,7 +521,7 @@ func (l *Lexer) scanString(p Pos, quote rune) Token {
 			break
 		}
 		l.next()
-		if r == quote {
+		if r == '\'' {
 			break
 		}
 		if r == '\\' {
@@ -315,7 +530,7 @@ func (l *Lexer) scanString(p Pos, quote rune) Token {
 		}
 		sb.WriteRune(r)
 	}
-	return Token{Kind: STRING, Text: sb.String(), Pos: p}
+	l.emit(STRING, sb.String(), p)
 }
 
 func (l *Lexer) unescape(r rune) rune {
@@ -336,14 +551,136 @@ func (l *Lexer) unescape(r rune) rune {
 // scanGString lexes a double-quoted string, splitting it into literal
 // text and interpolation parts. Two interpolation forms are supported,
 // matching Groovy: ${expr} with arbitrary nesting of braces, and the
-// bare $ident(.ident)* path form.
-func (l *Lexer) scanGString(p Pos) Token {
+// bare $ident(.ident)* path form. Escapes are resolved in literal text
+// but not inside ${…}.
+func (l *Lexer) scanGString(p Pos) {
+	if l.parts == nil {
+		// Market apps have one part per 62 source bytes.
+		l.parts = make([]GPart, 0, (len(l.src)-l.off)/32+4)
+	}
+	if !l.sliceGString(p) {
+		l.decodeGString(p)
+	}
+}
+
+// sliceGString lexes a double-quoted string whose text and
+// interpolation parts can be sliced from the source: one with no
+// escape in its literal text and no non-ASCII byte anywhere. It
+// reports false, having consumed nothing, for any other string.
+func (l *Lexer) sliceGString(p Pos) bool {
+	src := l.src
+	mark := len(l.parts)
+	start := l.off + 1
+	seg := start // start of the pending literal-text part
+	flush := func(end int) {
+		if end > seg {
+			l.parts = append(l.parts, GPart{Text: src[seg:end]})
+		}
+	}
+	bail := func() bool {
+		l.parts = l.parts[:mark]
+		return false
+	}
+	i := start
+	text := ""
+scan:
+	for {
+		c := l.byteAt(i)
+		switch {
+		case c == '"':
+			flush(i)
+			text = src[start:i]
+			i++
+			break scan
+		case c == '\n' || c == 0:
+			flush(i)
+			text = src[start:i]
+			l.errorf(p, "unterminated string")
+			break scan
+		case c == '\\' || c >= utf8.RuneSelf:
+			return bail()
+		case c != '$':
+			i++
+		case l.byteAt(i+1) == '{':
+			flush(i)
+			end, closed, ascii := l.braceEnd(i + 2)
+			if !ascii {
+				return bail()
+			}
+			l.parts = append(l.parts, GPart{Expr: src[i+2 : end], IsExpr: true})
+			if !closed {
+				// The string ends with the input or at a NUL byte; its
+				// text closes the interpolation it could not find.
+				l.errorf(p, "unterminated interpolation")
+				l.errorf(p, "unterminated string")
+				text = src[start:end] + "}"
+				i = end
+				break scan
+			}
+			i, seg = end+1, end+1
+		case is(l.byteAt(i+1), bIdentStart):
+			flush(i)
+			j := i + 1
+			for {
+				for is(l.byteAt(j), bIdentPart) {
+					j++
+				}
+				// Dotted path: $evt.value
+				if l.byteAt(j) != '.' || !is(l.byteAt(j+1), bIdentStart) {
+					break
+				}
+				j++
+			}
+			if l.byteAt(j) >= utf8.RuneSelf || l.byteAt(j) == '.' && l.byteAt(j+1) >= utf8.RuneSelf {
+				return bail() // the path may go on with a non-ASCII letter
+			}
+			l.parts = append(l.parts, GPart{Expr: src[i+1 : j], IsExpr: true})
+			i, seg = j, j
+		case l.byteAt(i+1) >= utf8.RuneSelf:
+			return bail()
+		default:
+			i++ // a bare '$' is literal text
+		}
+	}
+	l.toks = append(l.toks, Token{Kind: GSTRING, Text: text, Pos: p,
+		lit: int32(mark), nparts: int32(len(l.parts) - mark)})
+	l.advanceTo(i)
+	return true
+}
+
+// braceEnd scans the source of a ${…} interpolation from i, just after
+// the "${", to the '}' that closes it, counting nested braces. It
+// returns that brace's offset, or the offset of the NUL byte or the
+// end of the input that cut the interpolation short (closed false),
+// and whether the bytes in between are all ASCII.
+func (l *Lexer) braceEnd(i int) (end int, closed, ascii bool) {
+	depth, ascii := 1, true
+	for ; i < len(l.src); i++ {
+		switch c := l.src[i]; {
+		case c == 0:
+			return i, false, ascii
+		case c >= utf8.RuneSelf:
+			ascii = false
+		case c == '{':
+			depth++
+		case c == '}':
+			if depth--; depth == 0 {
+				return i, true, ascii
+			}
+		}
+	}
+	return i, false, ascii
+}
+
+// decodeGString lexes a double-quoted string rune by rune, resolving
+// escapes in its literal text; invalid UTF-8 becomes U+FFFD.
+func (l *Lexer) decodeGString(p Pos) {
 	l.next() // opening quote
-	var parts []GPart
+	mark := len(l.parts)
 	var text strings.Builder
 	flushText := func() {
 		if text.Len() > 0 {
-			parts = append(parts, GPart{Text: text.String()})
+			l.parts = append(l.parts, GPart{Text: text.String()})
 			text.Reset()
 		}
 	}
@@ -369,28 +706,22 @@ func (l *Lexer) scanGString(p Pos) Token {
 			l.next()
 			if l.peek() == '{' {
 				l.next()
-				depth := 1
-				var expr strings.Builder
-				for depth > 0 {
-					c := l.peek()
-					if c == 0 {
-						l.errorf(p, "unterminated interpolation")
-						break
-					}
+				end, closed, ascii := l.braceEnd(l.off)
+				expr := l.src[l.off:end]
+				if !ascii {
+					expr = validUTF8(expr)
+				}
+				l.advanceTo(end)
+				if closed {
 					l.next()
-					if c == '{' {
-						depth++
-					} else if c == '}' {
-						depth--
-						if depth == 0 {
-							break
-						}
-					}
-					expr.WriteRune(c)
+				} else {
+					l.errorf(p, "unterminated interpolation")
 				}
 				flushText()
-				parts = append(parts, GPart{Expr: expr.String(), IsExpr: true})
-				full.WriteString("${" + expr.String() + "}")
+				l.parts = append(l.parts, GPart{Expr: expr, IsExpr: true})
+				full.WriteString("${")
+				full.WriteString(expr)
+				full.WriteString("}")
 				continue
 			}
 			if isIdentStart(l.peek()) {
@@ -406,7 +737,7 @@ func (l *Lexer) scanGString(p Pos) Token {
 					}
 				}
 				flushText()
-				parts = append(parts, GPart{Expr: expr.String(), IsExpr: true})
+				l.parts = append(l.parts, GPart{Expr: expr.String(), IsExpr: true})
 				full.WriteString("$" + expr.String())
 				continue
 			}
@@ -419,5 +750,20 @@ func (l *Lexer) scanGString(p Pos) Token {
 		full.WriteRune(r)
 	}
 	flushText()
-	return Token{Kind: GSTRING, Text: full.String(), Parts: parts, Pos: p}
+	l.toks = append(l.toks, Token{Kind: GSTRING, Text: full.String(), Pos: p,
+		lit: int32(mark), nparts: int32(len(l.parts) - mark)})
+}
+
+// validUTF8 returns s with each byte that does not start a valid UTF-8
+// sequence replaced by U+FFFD, as decoding s rune by rune would.
+func validUTF8(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	var sb strings.Builder
+	sb.Grow(len(s))
+	for _, r := range s {
+		sb.WriteRune(r)
+	}
+	return sb.String()
 }

@@ -16,12 +16,20 @@ func kinds(toks []Token) []TokKind {
 
 func lexOK(t *testing.T, src string) []Token {
 	t.Helper()
+	_, toks := lexOKLexer(t, src)
+	return toks
+}
+
+// lexOKLexer is lexOK that also returns the lexer, whose side tables
+// hold NUMBER values and GSTRING parts.
+func lexOKLexer(t *testing.T, src string) (*Lexer, []Token) {
+	t.Helper()
 	lx := NewLexer(src)
 	toks := lx.Tokens()
 	if errs := lx.Errors(); len(errs) > 0 {
 		t.Fatalf("lex errors for %q: %v", src, errs)
 	}
-	return toks
+	return lx, toks
 }
 
 func TestLexSimpleTokens(t *testing.T) {
@@ -94,9 +102,9 @@ func TestLexNumbers(t *testing.T) {
 		{"2.5f", 2.5, false},
 	}
 	for _, c := range cases {
-		toks := lexOK(t, c.src)
-		if toks[0].Kind != NUMBER || toks[0].Num != c.val || toks[0].IsInt != c.isInt {
-			t.Errorf("%q: got %+v", c.src, toks[0])
+		lx, toks := lexOKLexer(t, c.src)
+		if v, isInt := lx.Num(toks[0]); toks[0].Kind != NUMBER || v != c.val || isInt != c.isInt {
+			t.Errorf("%q: got %+v (value %v, int %v)", c.src, toks[0], v, isInt)
 		}
 	}
 }
@@ -116,21 +124,20 @@ func TestLexStringEscapes(t *testing.T) {
 }
 
 func TestLexGStringPlain(t *testing.T) {
-	toks := lexOK(t, `"no interpolation"`)
+	lx, toks := lexOKLexer(t, `"no interpolation"`)
 	tok := toks[0]
 	if tok.Kind != GSTRING {
 		t.Fatalf("kind = %v", tok.Kind)
 	}
-	if len(tok.Parts) != 1 || tok.Parts[0].IsExpr || tok.Parts[0].Text != "no interpolation" {
-		t.Errorf("parts = %+v", tok.Parts)
+	if parts := lx.Parts(tok); len(parts) != 1 || parts[0].IsExpr || parts[0].Text != "no interpolation" {
+		t.Errorf("parts = %+v", parts)
 	}
 }
 
 func TestLexGStringDollarIdent(t *testing.T) {
-	toks := lexOK(t, `"$evt.value: $evt, $settings"`)
-	tok := toks[0]
+	lx, toks := lexOKLexer(t, `"$evt.value: $evt, $settings"`)
 	var exprs []string
-	for _, p := range tok.Parts {
+	for _, p := range lx.Parts(toks[0]) {
 		if p.IsExpr {
 			exprs = append(exprs, p.Expr)
 		}
@@ -147,24 +154,24 @@ func TestLexGStringDollarIdent(t *testing.T) {
 }
 
 func TestLexGStringBraced(t *testing.T) {
-	toks := lexOK(t, `"event created at: ${evt.date}"`)
-	tok := toks[0]
-	if len(tok.Parts) != 2 {
-		t.Fatalf("parts = %+v", tok.Parts)
+	lx, toks := lexOKLexer(t, `"event created at: ${evt.date}"`)
+	parts := lx.Parts(toks[0])
+	if len(parts) != 2 {
+		t.Fatalf("parts = %+v", parts)
 	}
-	if tok.Parts[0].Text != "event created at: " {
-		t.Errorf("text part = %q", tok.Parts[0].Text)
+	if parts[0].Text != "event created at: " {
+		t.Errorf("text part = %q", parts[0].Text)
 	}
-	if !tok.Parts[1].IsExpr || tok.Parts[1].Expr != "evt.date" {
-		t.Errorf("expr part = %+v", tok.Parts[1])
+	if !parts[1].IsExpr || parts[1].Expr != "evt.date" {
+		t.Errorf("expr part = %+v", parts[1])
 	}
 }
 
 func TestLexGStringNestedBraces(t *testing.T) {
-	toks := lexOK(t, `"${recentEvents?.size() ?: 0} events"`)
-	tok := toks[0]
-	if !tok.Parts[0].IsExpr || tok.Parts[0].Expr != "recentEvents?.size() ?: 0" {
-		t.Errorf("parts = %+v", tok.Parts)
+	lx, toks := lexOKLexer(t, `"${recentEvents?.size() ?: 0} events"`)
+	parts := lx.Parts(toks[0])
+	if !parts[0].IsExpr || parts[0].Expr != "recentEvents?.size() ?: 0" {
+		t.Errorf("parts = %+v", parts)
 	}
 }
 

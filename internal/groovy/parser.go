@@ -17,12 +17,31 @@ import (
 //   - reflection calls whose callee is a GString (`"$name"()`),
 //   - newline-terminated statements, with newlines ignored inside
 //     parentheses and brackets.
+//
+// Recursion is bounded: statements, expressions and the sub-parses of
+// GString interpolation parts count towards one nesting depth, and a
+// source that nests deeper than maxDepth levels gets a ParseError and
+// ends the parse, so no input can exhaust the goroutine stack.
 type Parser struct {
+	lx     *Lexer // owns toks and their NUMBER and GSTRING side tables
 	toks   []Token
 	pos    int
 	errs   []error
 	fileNm string
+	depth  int  // current nesting depth
+	halted bool // the nesting limit stopped the parse
 }
+
+// maxDepth bounds the nesting depth of a parse: each statement, each
+// expression and each prefix operator is one level. The deepest
+// sources in the market corpus, MalIoT and the paper apps reach 6, 8
+// and 7 levels. The bound also caps how often a chain of nested
+// interpolations re-lexes the rest of its source.
+const maxDepth = 64
+
+// maxErrors caps the lexical and the syntax errors each recorded for
+// one source.
+const maxErrors = 50
 
 // ParseError describes a syntax error at a source position.
 type ParseError struct {
@@ -43,8 +62,7 @@ func (e *ParseError) Error() string {
 // is returned together with a joined error.
 func Parse(name, src string) (*File, error) {
 	lx := NewLexer(src)
-	toks := lx.Tokens()
-	p := &Parser{toks: toks, fileNm: name}
+	p := &Parser{lx: lx, toks: lx.Tokens(), fileNm: name}
 	f := p.parseFile()
 	f.Name = name
 	var errs []error
@@ -67,24 +85,55 @@ func MustParse(name, src string) *File {
 }
 
 // ParseExpr parses a single expression (used for GString interpolation
-// parts and for tests).
+// parts and for tests). Source that does not lex is not parsed: the
+// error joins its lexical errors and the expression is nil.
 func ParseExpr(src string) (Expr, error) {
+	e, _, err := parseExprAt(src, 0)
+	return e, err
+}
+
+// parseExprAt is ParseExpr for an expression that sits depth levels
+// deep in an enclosing parse; halted reports that the nesting limit
+// stopped it.
+func parseExprAt(src string, depth int) (e Expr, halted bool, err error) {
 	lx := NewLexer(src)
-	p := &Parser{toks: lx.Tokens()}
-	e := p.parseExpr()
+	toks := lx.Tokens()
 	if len(lx.Errors()) > 0 {
-		return e, errors.Join(lx.Errors()...)
+		return nil, false, errors.Join(lx.Errors()...)
 	}
+	p := &Parser{lx: lx, toks: toks, depth: depth}
+	e = p.parseExpr()
 	if len(p.errs) > 0 {
-		return e, errors.Join(p.errs...)
+		return e, p.halted, errors.Join(p.errs...)
 	}
-	return e, nil
+	return e, false, nil
 }
 
 func (p *Parser) errorf(pos Pos, format string, args ...any) {
-	if len(p.errs) < 50 {
+	if len(p.errs) < maxErrors && !p.halted {
 		p.errs = append(p.errs, &ParseError{File: p.fileNm, Pos: pos, Msg: fmt.Sprintf(format, args...)})
 	}
+}
+
+// enter counts one level of nesting before a recursive descent. Past
+// maxDepth it stops the parse (see halt) and reports false.
+func (p *Parser) enter() bool {
+	if p.depth >= maxDepth {
+		p.halt(p.cur().Pos)
+		return false
+	}
+	p.depth++
+	return true
+}
+
+func (p *Parser) leave() { p.depth-- }
+
+// halt records the nesting-limit error at pos and moves to EOF, so every
+// pending production unwinds at once; later errors are not recorded.
+func (p *Parser) halt(pos Pos) {
+	p.errorf(pos, "nesting deeper than %d levels", maxDepth)
+	p.halted = true
+	p.pos = len(p.toks) - 1
 }
 
 func (p *Parser) cur() Token    { return p.toks[p.pos] }
@@ -266,6 +315,10 @@ func (p *Parser) parseBlock() *Block {
 // Statements
 
 func (p *Parser) parseStmt() Stmt {
+	if !p.enter() {
+		return nil
+	}
+	defer p.leave()
 	switch p.kind() {
 	case KwIf:
 		return p.parseIf()
@@ -336,7 +389,33 @@ func (p *Parser) parseDecl() Stmt {
 	return &DeclStmt{Name: name, Type: typ, Init: init, Pos: pos}
 }
 
+// parseIf parses an if statement. An else-if chain is parsed in a loop,
+// so its length does not count towards the nesting depth.
 func (p *Parser) parseIf() Stmt {
+	first := p.parseIfClause()
+	last := first
+	for {
+		// `else` may appear after a newline.
+		save := p.pos
+		p.skipNLs()
+		if !p.at(KwElse) {
+			p.pos = save
+			return first
+		}
+		p.advance()
+		p.skipNLs()
+		if !p.at(KwIf) {
+			last.Else = p.blockOrSingle()
+			return first
+		}
+		next := p.parseIfClause()
+		last.Else = next
+		last = next
+	}
+}
+
+// parseIfClause parses `if (cond) body`, without an else branch.
+func (p *Parser) parseIfClause() *IfStmt {
 	pos := p.expect(KwIf).Pos
 	p.expect(LPAREN)
 	p.skipNLs()
@@ -345,22 +424,7 @@ func (p *Parser) parseIf() Stmt {
 	p.expect(RPAREN)
 	p.skipNLs()
 	thenB := p.blockOrSingle()
-	var elseS Stmt
-	// `else` may appear after a newline.
-	save := p.pos
-	p.skipNLs()
-	if p.at(KwElse) {
-		p.advance()
-		p.skipNLs()
-		if p.at(KwIf) {
-			elseS = p.parseIf()
-		} else {
-			elseS = p.blockOrSingle()
-		}
-	} else {
-		p.pos = save
-	}
-	return &IfStmt{Cond: cond, Then: thenB, Else: elseS, Pos: pos}
+	return &IfStmt{Cond: cond, Then: thenB, Pos: pos}
 }
 
 // blockOrSingle parses a braced block, or wraps a single statement in a
@@ -585,7 +649,14 @@ func (p *Parser) parseArgInto(call *CallExpr) {
 // ---------------------------------------------------------------------------
 // Expressions (precedence climbing)
 
-func (p *Parser) parseExpr() Expr { return p.parseTernary() }
+func (p *Parser) parseExpr() Expr {
+	if !p.enter() {
+		return &NullLit{Pos: p.cur().Pos}
+	}
+	x := p.parseTernary()
+	p.leave()
+	return x
+}
 
 func (p *Parser) parseTernary() Expr {
 	cond := p.parseOr()
@@ -593,16 +664,16 @@ func (p *Parser) parseTernary() Expr {
 	case QUESTION:
 		pos := p.advance().Pos
 		p.skipNLs()
-		thenE := p.parseTernary()
+		thenE := p.parseExpr()
 		p.skipNLs()
 		p.expect(COLON)
 		p.skipNLs()
-		elseE := p.parseTernary()
+		elseE := p.parseExpr()
 		return &TernaryExpr{Cond: cond, Then: thenE, Else: elseE, Pos: pos}
 	case ELVIS:
 		pos := p.advance().Pos
 		p.skipNLs()
-		def := p.parseTernary()
+		def := p.parseExpr()
 		return &ElvisExpr{Value: cond, Default: def, Pos: pos}
 	}
 	return cond
@@ -677,8 +748,12 @@ func (p *Parser) parseMultiplicative() Expr {
 func (p *Parser) parseUnary() Expr {
 	switch p.kind() {
 	case NOT, MINUS:
+		if !p.enter() {
+			return &NullLit{Pos: p.cur().Pos}
+		}
 		op := p.advance()
 		x := p.parseUnary()
+		p.leave()
 		return &UnaryExpr{Op: op.Kind, X: x, Pos: op.Pos}
 	}
 	return p.parsePostfix()
@@ -811,7 +886,8 @@ func (p *Parser) parsePrimary() Expr {
 	switch t.Kind {
 	case NUMBER:
 		p.advance()
-		return &NumberLit{Value: t.Num, IsInt: t.IsInt, Raw: t.Text, Pos: t.Pos}
+		v, isInt := p.lx.Num(t)
+		return &NumberLit{Value: v, IsInt: isInt, Raw: t.Text, Pos: t.Pos}
 	case STRING:
 		p.advance()
 		return &StringLit{Value: t.Text, Pos: t.Pos}
@@ -901,15 +977,24 @@ func (p *Parser) parseListOrMap() Expr {
 }
 
 // buildGString parses the interpolation expressions embedded in a
-// GSTRING token into full AST expressions.
+// GSTRING token into full AST expressions. Each sub-parse starts at the
+// current nesting depth.
 func (p *Parser) buildGString(t Token) *GStringLit {
 	g := &GStringLit{Raw: t.Text, Pos: t.Pos}
-	for _, part := range t.Parts {
+	parts := p.lx.Parts(t)
+	if len(parts) > 0 {
+		g.Parts = make([]GStringPart, 0, len(parts))
+	}
+	for _, part := range parts {
 		if !part.IsExpr {
 			g.Parts = append(g.Parts, GStringPart{Text: part.Text})
 			continue
 		}
-		e, err := ParseExpr(part.Expr)
+		e, halted, err := parseExprAt(part.Expr, p.depth)
+		if halted {
+			p.halt(t.Pos)
+			return g
+		}
 		if err != nil {
 			p.errorf(t.Pos, "bad interpolation %q: %v", part.Expr, err)
 			e = &NullLit{Pos: t.Pos}

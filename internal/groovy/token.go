@@ -108,12 +108,47 @@ func (k TokKind) String() string {
 	return fmt.Sprintf("TokKind(%d)", int(k))
 }
 
-var keywords = map[string]TokKind{
-	"def": KwDef, "if": KwIf, "else": KwElse, "return": KwReturn,
-	"true": KwTrue, "false": KwFalse, "null": KwNull, "while": KwWhile,
-	"for": KwFor, "in": KwIn, "new": KwNew, "private": KwPrivate,
-	"public": KwPublic, "switch": KwSwitch, "case": KwCase,
-	"default": KwDefault, "break": KwBreak, "continue": KwContinue,
+// keyword returns the kind of the keyword s, or IDENT.
+func keyword(s string) TokKind {
+	switch s {
+	case "def":
+		return KwDef
+	case "if":
+		return KwIf
+	case "else":
+		return KwElse
+	case "return":
+		return KwReturn
+	case "true":
+		return KwTrue
+	case "false":
+		return KwFalse
+	case "null":
+		return KwNull
+	case "while":
+		return KwWhile
+	case "for":
+		return KwFor
+	case "in":
+		return KwIn
+	case "new":
+		return KwNew
+	case "private":
+		return KwPrivate
+	case "public":
+		return KwPublic
+	case "switch":
+		return KwSwitch
+	case "case":
+		return KwCase
+	case "default":
+		return KwDefault
+	case "break":
+		return KwBreak
+	case "continue":
+		return KwContinue
+	}
+	return IDENT
 }
 
 // Pos is a source position (1-based line and column).
@@ -133,14 +168,23 @@ type GPart struct {
 	IsExpr bool
 }
 
-// Token is a single lexeme with its source position.
+// Token is a single lexeme with its source position. It is 48 bytes:
+// a NUMBER's value and a GSTRING's interpolation parts live in side
+// tables of the Lexer that produced the token (see Lexer.Num and
+// Lexer.Parts), indexed by lit.
 type Token struct {
-	Kind  TokKind
-	Text  string  // raw text (identifier name, operator, string content)
-	Num   float64 // value when Kind == NUMBER
-	IsInt bool    // NUMBER had no fractional part
-	Parts []GPart // interpolation parts when Kind == GSTRING
-	Pos   Pos
+	Kind TokKind
+	// Text is the identifier name, operator, number literal or string
+	// content. Identifier, operator and number text, and the text of a
+	// string literal without escapes or non-ASCII bytes, is a slice of
+	// the source.
+	Text string
+	Pos  Pos
+	// lit indexes the lexer's side tables: the value of a NUMBER in
+	// Lexer.nums, the first part of a GSTRING in Lexer.parts.
+	lit int32
+	// nparts is the number of interpolation parts of a GSTRING.
+	nparts int32
 }
 
 func (t Token) String() string {
