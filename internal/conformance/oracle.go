@@ -154,13 +154,13 @@ func checkSMVRoundTrip(c *Case) *Mismatch {
 	}
 	// One TRANS disjunct per model transition (or the stutter
 	// disjunct for an inert model).
-	want := len(c.Model.Transitions)
+	want := c.Model.NumTransitions()
 	if want == 0 {
 		want = 1
 	}
 	if len(mod.Trans) != want {
 		return mismatch("module has %d TRANS disjuncts, model has %d transitions",
-			len(mod.Trans), len(c.Model.Transitions))
+			len(mod.Trans), c.Model.NumTransitions())
 	}
 	if len(mod.Specs) != 1 {
 		return mismatch("module has %d SPEC lines, want 1", len(mod.Specs))

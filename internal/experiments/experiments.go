@@ -358,7 +358,7 @@ func UnionTiming() (*report.Table, error) {
 			continue
 		}
 		el := time.Since(start)
-		t.AddRow(g.ID, len(models), len(u.States), len(u.Transitions),
+		t.AddRow(g.ID, len(models), len(u.States), u.NumTransitions(),
 			fmt.Sprintf("%.2fms", float64(el.Microseconds())/1000))
 	}
 	t.Note("paper: 30 interacting apps (avg 64 states) unioned in 4±2.1 s on a 2.6GHz laptop")

@@ -50,7 +50,7 @@ func tooDeep(err error) bool {
 // default source size limit) of inputs that used to exhaust the stack
 // or run without bound: a bad character repeated, unclosed
 // parentheses and brackets, and unclosed interpolations nested in one
-// another. Each must come back as an error.
+// another. Each must come back as an error of at most 4 KiB.
 func TestMaxSizeAdversarialSources(t *testing.T) {
 	const size = 1 << 20
 	for _, c := range []struct {
@@ -94,6 +94,11 @@ func TestMaxSizeAdversarialSources(t *testing.T) {
 				t.Fatalf("Parse = %v, %v; want a File and an error", f, err)
 			}
 			c.check(t, err)
+			// An error quotes at most a prefix of the failed source,
+			// so its size does not grow with the input.
+			if n := len(err.Error()); n > 4<<10 {
+				t.Errorf("%d-byte error, want <= 4 KiB", n)
+			}
 			// Skipping a bad character is a loop step, not a stack
 			// frame, and formats no message past the error cap.
 			if c.unit == "@" && elapsed > time.Second {
@@ -170,5 +175,23 @@ func TestLongElseIfChain(t *testing.T) {
 	}
 	if n != 10*maxDepth+1 {
 		t.Errorf("chain of %d if statements, want %d", n, 10*maxDepth+1)
+	}
+}
+
+func TestQuotePrefix(t *testing.T) {
+	for _, c := range []struct {
+		s    string
+		n    int
+		want string
+	}{
+		{"abc", 3, `"abc"`},
+		{"abcd", 3, `"abc"…`},
+		{"abé", 3, `"ab"…`}, // é is two bytes: cut before it
+		{"éé", 3, `"é"…`},
+		{"\t${", 64, `"\t${"`},
+	} {
+		if got := quotePrefix(c.s, c.n); got != c.want {
+			t.Errorf("quotePrefix(%q, %d) = %s, want %s", c.s, c.n, got, c.want)
+		}
 	}
 }

@@ -3,7 +3,9 @@ package groovy
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Parser builds the AST from a token stream. It is a recursive-descent
@@ -996,12 +998,27 @@ func (p *Parser) buildGString(t Token) *GStringLit {
 			return g
 		}
 		if err != nil {
-			p.errorf(t.Pos, "bad interpolation %q: %v", part.Expr, err)
+			p.errorf(t.Pos, "bad interpolation %s: %v", quotePrefix(part.Expr, maxQuote), err)
 			e = &NullLit{Pos: t.Pos}
 		}
 		g.Parts = append(g.Parts, GStringPart{Expr: e, IsExpr: true})
 	}
 	return g
+}
+
+// maxQuote bounds how much of a failed source an error message quotes.
+const maxQuote = 64
+
+// quotePrefix quotes s, or its first n bytes (cut back to a rune
+// boundary) followed by "…" when s is longer.
+func quotePrefix(s string, n int) string {
+	if len(s) <= n {
+		return strconv.Quote(s)
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
+	}
+	return strconv.Quote(s[:n]) + "…"
 }
 
 // Format returns a compact single-line rendering of an expression,

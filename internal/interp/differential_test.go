@@ -237,7 +237,8 @@ func runDifferential(t *testing.T, label string, app *ir.App, steps int, seed in
 		}
 
 		found := false
-		for _, tr := range m.Transitions {
+		for i := range m.NumTransitions() {
+			tr := m.Transition(i)
 			if tr.From == pre && tr.To == post &&
 				tr.Event.VarKey == wantVar && tr.Event.Value == wantVal {
 				found = true

@@ -13,8 +13,9 @@
 // each ID owns a bitset of the states it holds in, all carved from one
 // arena. Engines look a proposition up once per atom with PropStates
 // and then test states by bit. Edges are numbered next to Succs, and
-// each edge keeps the indices of the transitions it came from; their
-// labels are rendered only for counterexamples (RenderPath).
+// each edge keeps the indices of the model transitions it came from;
+// their labels, held by the model's transition prototypes, are read
+// only for counterexamples (RenderPath).
 package kripke
 
 import (
@@ -42,12 +43,13 @@ type Structure struct {
 
 	// edgeOf[s][j] is the ID of the edge s → Succs[s][j]. Edge e's
 	// label references are labRefs[labStart[e]:labStart[e+1]] in
-	// insertion order: reference r < len(trans) is trans[r].Label(),
-	// any other names labels[r-len(trans)].
+	// insertion order: reference r < nTrans is model transition r's
+	// label, any other names labels[r-nTrans].
 	edgeOf   [][]int32
 	labStart []int32
 	labRefs  []int32
-	trans    []statemodel.Transition
+	model    *statemodel.Model
+	nTrans   int
 	labels   []string
 }
 
@@ -155,7 +157,7 @@ func (k *Structure) AddEdge(from, to int, label string) {
 		i = len(k.labels)
 		k.labels = append(k.labels, label)
 	}
-	r := int32(len(k.trans) + i)
+	r := int32(k.nTrans + i)
 	end := k.labStart[e+1]
 	if slices.Contains(k.labRefs[k.labStart[e]:end], r) {
 		return
@@ -189,10 +191,10 @@ func (k *Structure) EdgeLabels(from, to int) []string {
 	var out []string
 	for _, r := range k.labRefs[k.labStart[e]:k.labStart[e+1]] {
 		var l string
-		if int(r) < len(k.trans) {
-			l = k.trans[r].Label()
+		if int(r) < k.nTrans {
+			l = k.model.TransitionLabel(int(r))
 		} else {
-			l = k.labels[int(r)-len(k.trans)]
+			l = k.labels[int(r)-k.nTrans]
 		}
 		if l != "" && !slices.Contains(out, l) {
 			out = append(out, l)
@@ -229,7 +231,7 @@ func New(n int) *Structure {
 // transition lists and the proposition bitsets are carved from arenas
 // sized by the model's counts.
 func FromModel(m *statemodel.Model) *Structure {
-	n := len(m.States)
+	n, nt := len(m.States), m.NumTransitions()
 	k := &Structure{
 		N:      n,
 		Init:   make([]int, n),
@@ -237,7 +239,8 @@ func FromModel(m *statemodel.Model) *Structure {
 		Preds:  make([][]int, n),
 		Names:  make([]string, n),
 		edgeOf: make([][]int32, n),
-		trans:  m.Transitions,
+		model:  m,
+		nTrans: nt,
 	}
 	for s := range k.Init {
 		k.Init[s] = s
@@ -247,13 +250,14 @@ func FromModel(m *statemodel.Model) *Structure {
 	// transitions leaving (entering) it.
 	outCount := make([]int, n)
 	inCount := make([]int, n)
-	for i := range m.Transitions {
-		outCount[m.Transitions[i].From]++
-		inCount[m.Transitions[i].To]++
+	for i := range nt {
+		from, to := m.Endpoints(i)
+		outCount[from]++
+		inCount[to]++
 	}
-	succArena := make([]int, len(m.Transitions))
-	predArena := make([]int, len(m.Transitions))
-	edgeArena := make([]int32, len(m.Transitions))
+	succArena := make([]int, nt)
+	predArena := make([]int, nt)
+	edgeArena := make([]int32, nt)
 	so, po := 0, 0
 	for s := 0; s < n; s++ {
 		k.Succs[s] = succArena[so : so : so+outCount[s]]
@@ -265,16 +269,16 @@ func FromModel(m *statemodel.Model) *Structure {
 
 	// Edges in order of first appearance, and each transition's edge.
 	edges := 0
-	tEdge := make([]int32, len(m.Transitions))
-	for i := range m.Transitions {
-		t := &m.Transitions[i]
-		e := k.edge(t.From, t.To)
+	tEdge := make([]int32, nt)
+	for i := range nt {
+		from, to := m.Endpoints(i)
+		e := k.edge(from, to)
 		if e < 0 {
 			e = edges
 			edges++
-			k.Succs[t.From] = append(k.Succs[t.From], t.To)
-			k.edgeOf[t.From] = append(k.edgeOf[t.From], int32(e))
-			k.Preds[t.To] = append(k.Preds[t.To], t.From)
+			k.Succs[from] = append(k.Succs[from], to)
+			k.edgeOf[from] = append(k.edgeOf[from], int32(e))
+			k.Preds[to] = append(k.Preds[to], from)
 		}
 		tEdge[i] = int32(e)
 	}
@@ -313,7 +317,7 @@ func (k *Structure) edgeTransitions(tEdge []int32, edges int) {
 }
 
 // propositions fills the proposition table — every "variable=value",
-// then each distinct "ev:<event>" marker — with the state bitsets
+// then the "ev:<event>" marker of each event ID — with the state bitsets
 // carved from one arena, and sets every state's name
 // (statemodel.Model.StateLabel) from the rendered propositions.
 func (k *Structure) propositions(m *statemodel.Model) {
@@ -324,21 +328,12 @@ func (k *Structure) propositions(m *statemodel.Model) {
 			varProp[vi][x] = k.intern(v.Key + "=" + val)
 		}
 	}
-	// Runs of transitions share an event; look up only changes.
-	type run struct{ start, prop int }
-	var runs []run
-	evProp := map[statemodel.Event]int{}
-	for i := range m.Transitions {
-		ev := m.Transitions[i].Event
-		if i > 0 && ev == m.Transitions[i-1].Event {
-			continue
-		}
-		id, ok := evProp[ev]
-		if !ok {
-			id = k.intern("ev:" + ev.String())
-			evProp[ev] = id
-		}
-		runs = append(runs, run{i, id})
+	// Event IDs number the model's events in order of first use, the
+	// order the markers are interned in.
+	events := m.Events()
+	evProp := make([]int32, len(events))
+	for id, ev := range events {
+		evProp[id] = int32(k.intern("ev:" + ev))
 	}
 
 	w := words(k.N)
@@ -347,14 +342,9 @@ func (k *Structure) propositions(m *statemodel.Model) {
 	for id := range k.propStates {
 		k.propStates[id] = arena[id*w : (id+1)*w : (id+1)*w]
 	}
-	for r, run := range runs {
-		end := len(m.Transitions)
-		if r+1 < len(runs) {
-			end = runs[r+1].start
-		}
-		for i := run.start; i < end; i++ {
-			k.propStates[run.prop].add(m.Transitions[i].To)
-		}
+	for i := range k.nTrans {
+		_, to := m.Endpoints(i)
+		k.propStates[evProp[m.EventID(i)]].add(to)
 	}
 
 	// Names are "[p1, p2, ...]"; size the one string they share.

@@ -41,7 +41,7 @@ func TestEveryAppBuildsNonEmptyModel(t *testing.T) {
 		if len(m.Vars) == 0 {
 			t.Errorf("%s: state model has no variables", app.Name)
 		}
-		if len(m.Transitions) == 0 {
+		if m.NumTransitions() == 0 {
 			t.Errorf("%s: state model has no transitions", app.Name)
 		}
 	}

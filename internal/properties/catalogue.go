@@ -134,21 +134,15 @@ func Formulas(m *statemodel.Model, ids []string) []PropertyFormula {
 }
 
 // eventMarkers returns the model's distinct "ev:<event>" propositions,
-// sorted. Transitions come in runs that share an event, and an event
-// is rendered only the first time it is seen.
+// sorted: one per entry of the model's event table.
 func eventMarkers(m *statemodel.Model) []string {
-	seen := map[statemodel.Event]bool{}
-	var out []string
-	for i := range m.Transitions {
-		ev := m.Transitions[i].Event
-		if (i > 0 && ev == m.Transitions[i-1].Event) || seen[ev] {
-			continue
-		}
-		seen[ev] = true
-		out = append(out, "ev:"+ev.String())
+	events := m.Events()
+	out := make([]string, len(events))
+	for i, ev := range events {
+		out[i] = "ev:" + ev
 	}
 	sort.Strings(out)
-	return slices.Compact(out)
+	return out
 }
 
 // matching returns the sorted markers that start with prefix.

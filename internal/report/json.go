@@ -108,7 +108,7 @@ func FromAnalysis(an *core.Analysis) *Record {
 	if an.Model != nil {
 		rec.States = len(an.Model.States)
 		rec.StatesBeforeReduction = an.Model.StatesBeforeReduction
-		rec.Transitions = len(an.Model.Transitions)
+		rec.Transitions = an.Model.NumTransitions()
 	}
 	for _, v := range an.Violations {
 		rec.Violations = append(rec.Violations, Violation{

@@ -30,8 +30,8 @@ func Emit(m *statemodel.Model, specs []ctl.Formula) string {
 	}
 	// The event marker variable records which event fired last.
 	events := map[string]bool{"none": true}
-	for _, t := range m.Transitions {
-		events[symbol("ev_"+t.Event.String())] = true
+	for _, ev := range m.Events() {
+		events[symbol("ev_"+ev)] = true
 	}
 	evList := sortedSet(events)
 	fmt.Fprintf(&sb, "  _event : {%s};\n", strings.Join(evList, ", "))
@@ -40,7 +40,8 @@ func Emit(m *statemodel.Model, specs []ctl.Formula) string {
 
 	sb.WriteString("\nTRANS\n")
 	var disj []string
-	for _, t := range m.Transitions {
+	for i := range m.NumTransitions() {
+		t := m.Transition(i)
 		var conj []string
 		for vi, v := range m.Vars {
 			from := symbol(v.Key + "_" + v.Values[m.States[t.From].Idx[vi]])

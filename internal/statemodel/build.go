@@ -267,7 +267,7 @@ func (m *Model) enumerateStates() error {
 	// Charge the whole product against the budget before materialising
 	// it, so a too-large model aborts in O(vars) rather than O(states).
 	m.budget.States(total, "statemodel.enumerate")
-	if err := m.initPacking(total); err != nil {
+	if err := m.initPacking(); err != nil {
 		return err
 	}
 	// Packed keys run through the product in lexicographic order (last
@@ -275,13 +275,12 @@ func (m *Model) enumerateStates() error {
 	// index vectors share one backing array.
 	n := len(m.Vars)
 	backing := make([]int, total*n)
-	m.States = make([]State, 0, total)
-	m.stateKeys = make([]uint64, 0, total)
-	for k := 0; k < total; k++ {
+	m.States = make([]State, total)
+	for k := range m.States {
 		m.budget.Tick("statemodel.enumerate")
 		idx := backing[k*n : (k+1)*n : (k+1)*n]
 		m.unpack(uint64(k), idx)
-		m.addState(uint64(k), idx)
+		m.States[k].Idx = idx
 	}
 	return nil
 }
@@ -296,28 +295,60 @@ func (m *Model) enumerateStates() error {
 // packed-key offsets.
 
 func (m *Model) deriveTransitions() {
-	es := newEdgeSet()
+	// Compile every path and list its events first: a path derives at
+	// most one transition per event, source state and action fork, a
+	// bound that sizes the edge set (on the market corpus it is within
+	// 3% of the count derived).
+	type pathJob struct {
+		ai      int
+		handler string
+		cp      *compiledPath
+		events  []Event
+	}
+	var jobs []pathJob
+	bound := 0
 	for ai, am := range m.Apps {
 		for _, r := range am.Results {
 			trigKey := m.triggerKey(am.App, r.Entry.Sub)
 			for _, path := range r.Paths {
-				m.derivePathTransitions(ai, am, r.Entry, trigKey, path, es)
+				events := m.pathEvents(am.App, r.Entry.Sub, trigKey, path)
+				if len(events) == 0 {
+					continue
+				}
+				cp := m.compilePath(am.App, path)
+				jobs = append(jobs, pathJob{ai, r.Entry.Sub.Handler, cp, events})
+				bound = min(bound+len(events)*len(m.States)*len(cp.branches), maxPresize)
 			}
 		}
 	}
-	m.Transitions = es.transitions(len(m.States))
+	es := newEdgeSet(bound)
+	for _, j := range jobs {
+		for _, ev := range j.events {
+			m.deriveEventTransitions(j.ai, j.handler, j.cp, ev, es)
+		}
+	}
+	es.finish(m)
 }
 
-// edgeSet collects the transitions of a model as compact
-// (from, to, prototype) records. A prototype carries everything but
-// the endpoints, so derived transitions share one Event, Guard and
-// label per prototype. Recording is a plain append; transitions drops
-// repeated (from, to, label, app) records when it materialises them.
+// maxPresize caps the records an edge set reserves up front, so a
+// bound that guards make loose cannot reserve more than 3 MB; past it
+// the records grow by append.
+const maxPresize = 1 << 18
+
+// edgeSet collects the transitions of a model as (from, to, prototype)
+// records. A prototype carries everything but the endpoints, so
+// derived transitions share one Event, Guard and label per prototype.
+// Recording is a plain append; finish drops repeated (from, to, label,
+// app) records and hands the columns to the model.
 type edgeSet struct {
 	classes map[labelApp]int32
-	protos  []Transition
 	class   []int32 // per prototype: the number of its (label, app) pair
-	edges   []edge
+	// evIDs and names number the rendered events as prototypes
+	// register them; finish renumbers them in order of first use.
+	evIDs  map[Event]int32
+	names  map[string]int32
+	protos []prototype
+	edges  []edge
 }
 
 type labelApp struct {
@@ -325,15 +356,18 @@ type labelApp struct {
 	app   int
 }
 
-type edge struct {
-	from, to, proto int32
+// newEdgeSet returns an empty edge set with room for size records.
+func newEdgeSet(size int) *edgeSet {
+	return &edgeSet{
+		classes: map[labelApp]int32{},
+		evIDs:   map[Event]int32{},
+		names:   map[string]int32{},
+		edges:   make([]edge, 0, size),
+	}
 }
 
-func newEdgeSet() *edgeSet {
-	return &edgeSet{classes: map[labelApp]int32{}}
-}
-
-// proto registers a transition prototype, stamping its rendered label.
+// proto registers a transition prototype, stamping its rendered label
+// and numbering its rendered event.
 func (es *edgeSet) proto(t Transition) int32 {
 	t.label = t.Label()
 	la := labelApp{t.label, t.App}
@@ -342,7 +376,16 @@ func (es *edgeSet) proto(t Transition) int32 {
 		c = int32(len(es.classes))
 		es.classes[la] = c
 	}
-	es.protos = append(es.protos, t)
+	ev, ok := es.evIDs[t.Event]
+	if !ok {
+		name := t.Event.String()
+		if ev, ok = es.names[name]; !ok {
+			ev = int32(len(es.names))
+			es.names[name] = ev
+		}
+		es.evIDs[t.Event] = ev
+	}
+	es.protos = append(es.protos, prototype{Transition: t, event: ev})
 	es.class = append(es.class, c)
 	return int32(len(es.protos) - 1)
 }
@@ -352,21 +395,22 @@ func (es *edgeSet) add(from, to int, p int32) {
 	es.edges = append(es.edges, edge{from: int32(from), to: int32(to), proto: p})
 }
 
-// transitions materialises the recorded transitions of a model with n
-// states in insertion order, keeping the first of each set of equal
-// ones (same endpoints, label and app). Duplicates are found without a
-// map: a counting sort buckets the records by source, insertion order
+// finish installs the recorded transitions as m's relation, in
+// insertion order, keeping the first of each set of equal ones (same
+// endpoints, label and app) and numbering the events in order of first
+// use by a kept transition. Duplicates are found without a map: a
+// counting sort buckets the records by source, insertion order
 // preserved, and within a bucket each target chains the records kept
 // so far (one per distinct label and app on that edge), reset by a
-// per-target stamp when the bucket changes.
-func (es *edgeSet) transitions(n int) []Transition {
+// per-target stamp when the bucket changes. The records are compacted
+// in place.
+func (es *edgeSet) finish(m *Model) {
+	n := len(m.States)
 	start := make([]int32, n+1)
 	for _, e := range es.edges {
 		start[e.from+1]++
 	}
-	for s := 0; s < n; s++ {
-		start[s+1] += start[s]
-	}
+	prefixSums(start)
 	bySource := make([]int32, len(es.edges))
 	for i, e := range es.edges {
 		bySource[start[e.from]] = int32(i)
@@ -375,14 +419,13 @@ func (es *edgeSet) transitions(n int) []Transition {
 
 	// head[to] is the last kept record into to from the current
 	// source (valid while stamp[to] is that source + 1); next links a
-	// kept record to the one kept before it.
+	// kept record to the one kept before it. A dropped record's
+	// prototype becomes -1.
 	stamp := make([]int32, n)
 	head := make([]int32, n)
 	next := make([]int32, len(es.edges))
-	keep := make([]bool, len(es.edges))
-	kept := 0
 	for _, i := range bySource {
-		e := es.edges[i]
+		e := &es.edges[i]
 		if stamp[e.to] != e.from+1 {
 			stamp[e.to], head[e.to] = e.from+1, -1
 		}
@@ -393,33 +436,47 @@ func (es *edgeSet) transitions(n int) []Transition {
 				break
 			}
 		}
-		if !dup {
+		if dup {
+			e.proto = -1
+		} else {
 			next[i], head[e.to] = head[e.to], i
-			keep[i] = true
-			kept++
+		}
+	}
+	kept := es.edges[:0]
+	for _, e := range es.edges {
+		if e.proto >= 0 {
+			kept = append(kept, e)
 		}
 	}
 
-	out := make([]Transition, 0, kept)
-	for i, e := range es.edges {
-		if keep[i] {
-			t := es.protos[e.proto]
-			t.From, t.To = int(e.from), int(e.to)
-			out = append(out, t)
+	names := make([]string, len(es.names))
+	for name, id := range es.names {
+		names[id] = name
+	}
+	renum := make([]int32, len(names))
+	for i := range renum {
+		renum[i] = -1
+	}
+	for _, e := range kept {
+		if id := es.protos[e.proto].event; renum[id] < 0 {
+			renum[id] = int32(len(m.events))
+			m.events = append(m.events, names[id])
 		}
 	}
-	return out
+	for i := range es.protos {
+		es.protos[i].event = renum[es.protos[i].event]
+	}
+	m.edges, m.protos = kept, es.protos
 }
 
-func (m *Model) derivePathTransitions(ai int, am *AppModel, ep *ir.EntryPoint, trigKey string, path symexec.Path, es *edgeSet) {
-	sub := ep.Sub
-	// Determine the event values this path can fire on.
-	var events []Event
+// pathEvents returns the events a path of the handler subscribed
+// with sub can fire on.
+func (m *Model) pathEvents(app *ir.App, sub ir.Subscription, trigKey string, path symexec.Path) []Event {
 	switch sub.Kind {
 	case ir.AppTouchEvent:
 		// Touch events are per-app: tapping one app's icon does not
 		// trigger another app.
-		events = []Event{{VarKey: "app.touch", Value: am.App.Name, Kind: sub.Kind}}
+		return []Event{{VarKey: "app.touch", Value: app.Name, Kind: sub.Kind}}
 	case ir.TimerEvent:
 		// Timer events are per-schedule (the subscription's Value is
 		// the scheduled handler).
@@ -427,30 +484,23 @@ func (m *Model) derivePathTransitions(ai int, am *AppModel, ep *ir.EntryPoint, t
 		if v == "" {
 			v = "fired"
 		}
-		events = []Event{{VarKey: "timer.time", Value: v, Kind: sub.Kind}}
-	default:
-		v, _, ok := m.VarByKey(trigKey)
-		if !ok {
-			return
+		return []Event{{VarKey: "timer.time", Value: v, Kind: sub.Kind}}
+	}
+	v, _, ok := m.VarByKey(trigKey)
+	if !ok {
+		return nil
+	}
+	var events []Event
+	for i, val := range v.Values {
+		if sub.Value != "" && val != sub.Value {
+			continue
 		}
-		for i, val := range v.Values {
-			if sub.Value != "" && val != sub.Value {
-				continue
-			}
-			if !m.eventConsistent(v, i, path.Guard) {
-				continue
-			}
-			events = append(events, Event{VarKey: trigKey, Value: val, Kind: sub.Kind})
+		if !m.eventConsistent(v, i, path.Guard) {
+			continue
 		}
+		events = append(events, Event{VarKey: trigKey, Value: val, Kind: sub.Kind})
 	}
-	if len(events) == 0 {
-		return
-	}
-
-	cp := m.compilePath(am.App, path)
-	for _, ev := range events {
-		m.deriveEventTransitions(ai, sub.Handler, cp, ev, es)
-	}
+	return events
 }
 
 // eventConsistent checks the path's evt.value atoms against a
@@ -706,9 +756,10 @@ func (m *Model) deriveEventTransitions(ai int, handler string, cp *compiledPath,
 			protos[string(verdicts)] = p
 		}
 
-		// Packed key of the post-event state with the written
-		// variables cleared; each fork adds its written values.
-		key := m.stateKeys[s]
+		// Packed key of the post-event state (state s has key s)
+		// with the written variables cleared; each fork adds its
+		// written values.
+		key := uint64(s)
 		if tvi >= 0 {
 			key += uint64(tval)*m.stride[tvi] - uint64(st[tvi])*m.stride[tvi]
 		}
@@ -720,7 +771,7 @@ func (m *Model) deriveEventTransitions(ai int, handler string, cp *compiledPath,
 			key -= uint64(x) * m.stride[vi]
 		}
 		for _, b := range cp.branches {
-			es.add(s, m.stateOf(key+b), p)
+			es.add(s, int(key+b), p)
 		}
 	}
 }
@@ -774,120 +825,120 @@ func (m *Model) decideEvtAtom(atom pathcond.Atom, ev Event) (holds, decided bool
 // detectNondeterminism flags states with two feasible same-event
 // transitions to different successors (§4.2: "SOTERIA reports
 // nondeterministic state models as a safety violation").
+//
+// Transitions are grouped by source state and event ID (events that
+// render alike share an ID), transitions in index order, and the
+// groups are visited in the order of their "from|event" strings
+// without building them: sources in the order of their "from|"
+// prefixes (sourceOrder), then events by rank of the rendered event.
+// This is the same order, since no "from|" prefix is a prefix of
+// another. Two stable counting sorts, by event rank and then by
+// source, lay the groups out as runs of one index array.
 func (m *Model) detectNondeterminism() {
 	const maxReports = 64
-	for _, ts := range m.eventGroups() {
-		for i := 0; i < len(ts) && len(m.Nondet) < maxReports; i++ {
-			m.budget.Tick("statemodel.nondet")
-			for j := i + 1; j < len(ts); j++ {
-				a, b := m.Transitions[ts[i]], m.Transitions[ts[j]]
-				if a.To == b.To {
-					continue
+	n, nt := len(m.States), len(m.edges)
+	evRank := ranks(m.events)
+	evStart := make([]int32, len(m.events)+1)
+	for i := range nt {
+		evStart[evRank[m.EventID(i)]]++
+	}
+	prefixSums(evStart)
+	byEv := make([]int32, nt)
+	for i := nt - 1; i >= 0; i-- {
+		r := evRank[m.EventID(i)]
+		evStart[r]--
+		byEv[evStart[r]] = int32(i)
+	}
+	// order[start[s]:start[s+1]] lists source s's transitions.
+	start := make([]int32, n+1)
+	for _, e := range m.edges {
+		start[e.from]++
+	}
+	prefixSums(start)
+	order := make([]int32, nt)
+	for j := nt - 1; j >= 0; j-- {
+		s := m.edges[byEv[j]].from
+		start[s]--
+		order[start[s]] = byEv[j]
+	}
+
+	for _, s := range sourceOrder(n) {
+		ts := order[start[s]:start[s+1]]
+		for lo := 0; lo < len(ts); {
+			ev := m.EventID(int(ts[lo]))
+			hi := lo + 1
+			for hi < len(ts) && m.EventID(int(ts[hi])) == ev {
+				hi++
+			}
+			for i := lo; i < hi; i++ {
+				if len(m.Nondet) == maxReports {
+					return
 				}
-				if pathcond.Feasible(a.Guard.And(b.Guard)) {
-					m.Nondet = append(m.Nondet, NondetReport{
-						State: a.From, Event: a.Event,
-						ToA: a.To, ToB: b.To,
-						GuardA: a.Guard, GuardB: b.Guard,
-						AppA: a.App, AppB: b.App,
-					})
-					break
+				m.budget.Tick("statemodel.nondet")
+				a := m.edges[ts[i]]
+				for j := i + 1; j < hi; j++ {
+					b := m.edges[ts[j]]
+					if a.to == b.to {
+						continue
+					}
+					pa, pb := &m.protos[a.proto], &m.protos[b.proto]
+					if pathcond.Feasible(pa.Guard.And(pb.Guard)) {
+						m.Nondet = append(m.Nondet, NondetReport{
+							State: int(a.from), Event: pa.Event,
+							ToA: int(a.to), ToB: int(b.to),
+							GuardA: pa.Guard, GuardB: pb.Guard,
+							AppA: pa.App, AppB: pb.App,
+						})
+						break
+					}
 				}
 			}
+			lo = hi
 		}
 	}
 }
 
-// eventGroups groups transition indices by source state and rendered
-// event, transitions in index order, and returns the groups in the
-// order of their "from|event" strings. Events that render alike share
-// a group. Those strings are not built: groups are ordered by the rank
-// of the "from|" prefix, then of the event string. This is the same
-// order, since no "from|" prefix is a prefix of another.
-func (m *Model) eventGroups() [][]int {
-	n := len(m.Transitions)
-	// Rank the distinct rendered events and source states.
-	evID := map[Event]int{}
-	nameID := map[string]int{}
-	var names []string
-	tev := make([]int, n)
-	fromID := make([]int, len(m.States))
-	var froms []string
-	id := -1
-	for i, t := range m.Transitions {
-		// Runs of transitions share an event; look up only changes.
-		if id < 0 || t.Event != m.Transitions[i-1].Event {
-			var ok bool
-			if id, ok = evID[t.Event]; !ok {
-				name := t.Event.String()
-				if id, ok = nameID[name]; !ok {
-					id = len(names)
-					nameID[name] = id
-					names = append(names, name)
-				}
-				evID[t.Event] = id
-			}
-		}
-		tev[i] = id
-		if fromID[t.From] == 0 {
-			froms = append(froms, strconv.Itoa(t.From)+"|")
-			fromID[t.From] = len(froms)
-		}
+// prefixSums turns counts into running totals in place.
+func prefixSums(xs []int32) {
+	for i := 1; i < len(xs); i++ {
+		xs[i] += xs[i-1]
 	}
-	evRank := ranks(names)
-	fromRank := ranks(froms)
+}
 
-	// Radix sort: by event rank, then stably by source rank.
-	byEv := countingSort(identity(n), len(names), func(i int) int { return evRank[tev[i]] })
-	order := countingSort(byEv, len(froms), func(i int) int { return fromRank[fromID[m.Transitions[i].From]-1] })
-
-	var groups [][]int
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && m.Transitions[order[hi]].From == m.Transitions[order[lo]].From && tev[order[hi]] == tev[order[lo]] {
-			hi++
+// sourceOrder returns the states 0..n-1 in the order of their "s|"
+// strings. '|' sorts after every digit, so a number's decimal
+// extensions come before it: the order is a post-order walk of the
+// digit trie, children in digit order ("100|" < "10|" < "11|" < "1|").
+func sourceOrder(n int) []int32 {
+	out := make([]int32, 0, n)
+	var walk func(s int)
+	walk = func(s int) {
+		for c := s * 10; c < s*10+10 && c < n; c++ {
+			walk(c)
 		}
-		groups = append(groups, order[lo:hi:hi])
-		lo = hi
+		out = append(out, int32(s))
 	}
-	return groups
+	if n > 0 {
+		out = append(out, 0)
+	}
+	for s := 1; s < 10 && s < n; s++ {
+		walk(s)
+	}
+	return out
 }
 
 // ranks returns each string's position in sorted order.
 func ranks(ss []string) []int {
-	order := identity(len(ss))
+	order := make([]int, len(ss))
+	for i := range order {
+		order[i] = i
+	}
 	slices.SortFunc(order, func(a, b int) int { return strings.Compare(ss[a], ss[b]) })
 	r := make([]int, len(ss))
 	for pos, i := range order {
 		r[i] = pos
 	}
 	return r
-}
-
-func identity(n int) []int {
-	xs := make([]int, n)
-	for i := range xs {
-		xs[i] = i
-	}
-	return xs
-}
-
-// countingSort stably orders xs by key, which must lie in [0, buckets).
-func countingSort(xs []int, buckets int, key func(int) int) []int {
-	start := make([]int, buckets+1)
-	for _, x := range xs {
-		start[key(x)+1]++
-	}
-	for b := 1; b <= buckets; b++ {
-		start[b] += start[b-1]
-	}
-	out := make([]int, len(xs))
-	for _, x := range xs {
-		k := key(x)
-		out[start[k]] = x
-		start[k]++
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -906,18 +957,18 @@ func (m *Model) Dot() string {
 	// Only states that participate in transitions are drawn, keeping
 	// the output readable for large products.
 	used := map[int]bool{}
-	for _, t := range m.Transitions {
-		used[t.From] = true
-		used[t.To] = true
+	for _, e := range m.edges {
+		used[int(e.from)] = true
+		used[int(e.to)] = true
 	}
 	for s := range m.States {
-		if !used[s] && len(m.Transitions) > 0 {
+		if !used[s] && len(m.edges) > 0 {
 			continue
 		}
 		fmt.Fprintf(&sb, "  s%d [label=%q];\n", s, m.StateLabel(s))
 	}
-	for _, t := range m.Transitions {
-		fmt.Fprintf(&sb, "  s%d -> s%d [label=%q];\n", t.From, t.To, t.Label())
+	for i, e := range m.edges {
+		fmt.Fprintf(&sb, "  s%d -> s%d [label=%q];\n", e.from, e.to, m.TransitionLabel(i))
 	}
 	sb.WriteString("}\n")
 	return sb.String()

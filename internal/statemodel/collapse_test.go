@@ -13,11 +13,11 @@ func TestNewSyntheticCollapseShape(t *testing.T) {
 	}
 	// Every non-zero state has exactly one outgoing edge, to ⌊s/2⌋;
 	// state 0 has none (the Kripke translation adds its stutter loop).
-	if got := len(m.Transitions); got != d*d-1 {
+	if got := m.NumTransitions(); got != d*d-1 {
 		t.Fatalf("transitions = %d, want %d", got, d*d-1)
 	}
 	seen := make([]bool, d*d)
-	for _, tr := range m.Transitions {
+	for _, tr := range transitionsOf(m) {
 		if seen[tr.From] {
 			t.Fatalf("state %d has two outgoing transitions", tr.From)
 		}

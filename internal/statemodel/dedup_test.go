@@ -28,7 +28,8 @@ func TestTransitionsDistinct(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		seen := map[key]int{}
-		for i, tr := range m.Transitions {
+		for i := range m.NumTransitions() {
+			tr := m.Transition(i)
 			k := key{tr.From, tr.To, tr.Label(), tr.App}
 			if j, dup := seen[k]; dup {
 				t.Errorf("%s: transitions %d and %d are both %d->%d %q app %d", name, j, i, k.from, k.to, k.label, k.app)

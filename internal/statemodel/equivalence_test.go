@@ -131,7 +131,8 @@ func dumpModel(w io.Writer, label string, m *statemodel.Model, err error) {
 	for i, s := range m.States {
 		fmt.Fprintf(w, "state %d %v\n", i, s.Idx)
 	}
-	for _, t := range m.Transitions {
+	for i := range m.NumTransitions() {
+		t := m.Transition(i)
 		fmt.Fprintf(w, "trans %d->%d ev=%s|%s|%d guard=%q app=%d handler=%s sig=%q label=%q\n",
 			t.From, t.To, t.Event.VarKey, t.Event.Value, t.Event.Kind, t.Guard.String(),
 			t.App, t.Handler, t.ActionsSig, t.Label())

@@ -1,6 +1,8 @@
 package statemodel
 
 import (
+	"slices"
+	"strconv"
 	"testing"
 
 	"github.com/soteria-analysis/soteria/internal/ir"
@@ -63,7 +65,7 @@ func checkInvariants(t *testing.T, label string, m *Model) {
 	// Transitions: endpoints valid, residual guards feasible, app
 	// index valid, device-event transitions set the trigger variable
 	// to the event value.
-	for ti, tr := range m.Transitions {
+	for ti, tr := range transitionsOf(m) {
 		if tr.From < 0 || tr.From >= len(m.States) || tr.To < 0 || tr.To >= len(m.States) {
 			t.Fatalf("%s: transition %d endpoints out of range", label, ti)
 		}
@@ -139,7 +141,7 @@ func TestModelInvariantsGroups(t *testing.T) {
 // records (same endpoints, label and app) the first added survives,
 // and survivors keep insertion order.
 func TestEdgeSetKeepsFirstOccurrence(t *testing.T) {
-	es := newEdgeSet()
+	es := newEdgeSet(0)
 	ev := Event{VarKey: "switch.switch", Value: "on"}
 	a := es.proto(Transition{Event: ev, Handler: "first"})
 	aAgain := es.proto(Transition{Event: ev, Handler: "second"}) // same label and app as a
@@ -147,7 +149,9 @@ func TestEdgeSetKeepsFirstOccurrence(t *testing.T) {
 	for _, e := range []edge{{1, 2, a}, {0, 1, b}, {1, 2, aAgain}, {1, 2, b}, {0, 1, b}, {0, 1, a}} {
 		es.add(int(e.from), int(e.to), e.proto)
 	}
-	got := es.transitions(3)
+	m := &Model{States: make([]State, 3)}
+	es.finish(m)
+	got := transitionsOf(m)
 	want := []struct {
 		from, to, app int
 		handler       string
@@ -185,5 +189,74 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 	if m1.Dot() != m2.Dot() {
 		t.Error("builds differ")
+	}
+}
+
+// TestEventIDsPerRenderedEvent pins the event table: events that
+// render alike share one ID ("app touch" with Value "" and "touched"),
+// IDs count in order of first use by a kept transition, and an event
+// no transition uses gets none.
+func TestEventIDsPerRenderedEvent(t *testing.T) {
+	es := newEdgeSet(0)
+	es.proto(Transition{Event: Event{VarKey: "switch.switch", Value: "dim"}}) // no transitions
+	touch := es.proto(Transition{Event: Event{VarKey: "app.touch", Kind: ir.AppTouchEvent}})
+	touched := es.proto(Transition{Event: Event{VarKey: "app.touch", Value: "touched", Kind: ir.AppTouchEvent}, App: 1})
+	on := es.proto(Transition{Event: Event{VarKey: "switch.switch", Value: "on"}})
+	onAgain := es.proto(Transition{Event: Event{VarKey: "switch.switch", Value: "on"}, Handler: "h"})
+	off := es.proto(Transition{Event: Event{VarKey: "switch.switch", Value: "off"}})
+	es.add(0, 1, off)
+	es.add(0, 1, off) // dropped
+	es.add(1, 0, on)
+	es.add(1, 0, onAgain) // dropped: same label and app as on
+	es.add(0, 0, touched)
+	es.add(1, 1, touch)
+	m := &Model{States: make([]State, 2)}
+	es.finish(m)
+	if want := []string{"switch.switch.off", "switch.switch.on", "app touch"}; !slices.Equal(m.Events(), want) {
+		t.Fatalf("events = %q, want %q", m.Events(), want)
+	}
+	var ids []int
+	for i := range m.NumTransitions() {
+		ids = append(ids, m.EventID(i))
+	}
+	if want := []int{0, 1, 2, 2}; !slices.Equal(ids, want) {
+		t.Errorf("event IDs = %v, want %v", ids, want)
+	}
+
+	// AddTransition numbers the events of a synthetic model the same way.
+	sm, err := NewSynthetic([]*Var{{Key: "x.y", Values: []string{"a"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := sm.AddState([]int{0})
+	for _, ev := range []Event{{VarKey: "app.touch", Kind: ir.AppTouchEvent}, DeviceEvent("x.y", "a"), {VarKey: "app.touch", Value: "touched", Kind: ir.AppTouchEvent}} {
+		if err := sm.AddTransition(s, s, ev, pathcond.True()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []string{"app touch", "x.y.a"}; !slices.Equal(sm.Events(), want) {
+		t.Errorf("synthetic events = %q, want %q", sm.Events(), want)
+	}
+	if sm.EventID(0) != sm.EventID(2) {
+		t.Errorf("synthetic touch events have IDs %d and %d", sm.EventID(0), sm.EventID(2))
+	}
+}
+
+// TestSourceOrder checks the digit-trie walk against sorting the
+// "s|" strings.
+func TestSourceOrder(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 11, 100, 101, 2304} {
+		want := make([]string, n)
+		for s := range want {
+			want[s] = strconv.Itoa(s) + "|"
+		}
+		slices.Sort(want)
+		got := make([]string, 0, n)
+		for _, s := range sourceOrder(n) {
+			got = append(got, strconv.Itoa(int(s))+"|")
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("n=%d: sourceOrder = %q, want %q", n, got, want)
+		}
 	}
 }

@@ -85,7 +85,9 @@ func (e Event) String() string {
 	return e.VarKey + "." + e.Value
 }
 
-// Transition is one labeled edge of the model.
+// Transition is one labeled edge of the model. The model does not
+// store Transitions: it keeps its transition relation as columns (see
+// Model), and Model.Transition materialises one on demand.
 type Transition struct {
 	From, To int
 	Event    Event
@@ -101,8 +103,8 @@ type Transition struct {
 	// ActionsSig is the contributing path's action signature, kept for
 	// diagnostics and the general properties.
 	ActionsSig string
-	// label is Label() as rendered once per distinct label by Build
-	// and Union; empty (synthetic transitions) means render on demand.
+	// label is Label() as rendered once per prototype by Build and
+	// Union; empty (synthetic transitions) means render on demand.
 	label string
 }
 
@@ -116,6 +118,20 @@ func (t Transition) Label() string {
 		return t.Event.String()
 	}
 	return t.Event.String() + " [" + t.Guard.String() + "]"
+}
+
+// edge is one transition of the relation: its endpoints and the index
+// of its prototype.
+type edge struct {
+	from, to, proto int32
+}
+
+// prototype is everything about a transition but its endpoints (From
+// and To are unused), shared by the transitions one path derives on
+// one event under one residual guard.
+type prototype struct {
+	Transition
+	event int32 // the ID of the rendered event in Model.events
 }
 
 // NondetReport describes a nondeterminism violation: one state and
@@ -140,24 +156,74 @@ type AppModel struct {
 }
 
 // Model is the extracted state model.
+//
+// The transition relation is kept as columns: one 12-byte
+// (from, to, prototype) record per transition, in the order derived
+// or added, and a table of prototypes holding the rest (event, residual guard,
+// app, handler, actions signature, rendered label and event ID).
+// Event IDs number the distinct rendered events in order of first
+// use, so events that render alike share one. NumTransitions and
+// Transition read the relation one transition at a time; Endpoints,
+// EventID, TransitionLabel and Events are the column reads the Kripke
+// translation and the property catalogue need.
 type Model struct {
-	Apps        []*AppModel
-	Vars        []*Var
-	varIdx      map[string]int
-	States      []State
-	stride      []uint64       // place value of each variable in packed state keys (initPacking)
-	stateKeys   []uint64       // packed key of each state
-	stateID     map[uint64]int // packed key → state ID
-	Transitions []Transition
-	Nondet      []NondetReport
-	Warnings    []string
-	opt         Options
-	budget      *guard.Budget
+	Apps   []*AppModel
+	Vars   []*Var
+	varIdx map[string]int
+	States []State
+	stride []uint64 // place value of each variable in packed state keys (initPacking)
+	// stateID maps packed keys to state IDs in models whose states are
+	// added one at a time (AddState). It is nil when the states are the
+	// full product (Build, Union), where state k has packed key k.
+	stateID  map[uint64]int
+	edges    []edge
+	protos   []prototype
+	events   []string         // rendered events by event ID
+	eventIDs map[string]int32 // events' IDs, built by AddTransition
+	Nondet   []NondetReport
+	Warnings []string
+	opt      Options
+	budget   *guard.Budget
 	// StatesBeforeReduction is the would-be state count without
 	// property abstraction, using the standard discretisation (100
 	// levels per numeric attribute) — the Fig. 11 baseline.
 	StatesBeforeReduction int
 }
+
+// NumTransitions returns the number of transitions.
+func (m *Model) NumTransitions() int { return len(m.edges) }
+
+// Transition materialises transition i.
+func (m *Model) Transition(i int) Transition {
+	e := m.edges[i]
+	t := m.protos[e.proto].Transition
+	t.From, t.To = int(e.from), int(e.to)
+	return t
+}
+
+// Endpoints returns the source and target states of transition i.
+func (m *Model) Endpoints(i int) (from, to int) {
+	e := &m.edges[i]
+	return int(e.from), int(e.to)
+}
+
+// EventID returns the ID of transition i's rendered event: its index
+// in Events.
+func (m *Model) EventID(i int) int { return int(m.protos[m.edges[i].proto].event) }
+
+// TransitionLabel returns transition i's Label.
+func (m *Model) TransitionLabel(i int) string {
+	p := &m.protos[m.edges[i].proto]
+	if p.label != "" {
+		return p.label
+	}
+	return p.Label()
+}
+
+// Events returns the distinct rendered events of the transitions,
+// indexed by event ID (in order of first use). The slice belongs to
+// the model and must not be modified.
+func (m *Model) Events() []string { return m.events }
 
 // VarByKey returns the model variable with the given key.
 func (m *Model) VarByKey(key string) (*Var, int, bool) {
@@ -207,9 +273,9 @@ func (m *Model) FindStates(req map[string]string) []int {
 }
 
 // initPacking sets the place values of the packed state keys, the
-// last variable varying fastest, and sizes the key index for sizeHint
-// states. It fails when the domain product overflows a uint64.
-func (m *Model) initPacking(sizeHint int) error {
+// last variable varying fastest. It fails when the domain product
+// overflows a uint64.
+func (m *Model) initPacking() error {
 	m.stride = make([]uint64, len(m.Vars))
 	place := uint64(1)
 	for i := len(m.Vars) - 1; i >= 0; i-- {
@@ -220,7 +286,6 @@ func (m *Model) initPacking(sizeHint int) error {
 		}
 		place *= n
 	}
-	m.stateID = make(map[uint64]int, sizeHint)
 	return nil
 }
 
@@ -240,28 +305,20 @@ func (m *Model) unpack(k uint64, idx []int) {
 	}
 }
 
-// addState appends a new state with packed key k and indices idx.
-func (m *Model) addState(k uint64, idx []int) int {
-	id := len(m.States)
-	m.States = append(m.States, State{Idx: idx})
-	m.stateKeys = append(m.stateKeys, k)
-	m.stateID[k] = id
-	return id
-}
-
 // internState returns the state's ID, creating it if new.
 func (m *Model) internState(idx []int) int {
 	k := m.pack(idx)
+	if m.stateID == nil {
+		return int(k) // the full product holds every state
+	}
 	if id, ok := m.stateID[k]; ok {
 		return id
 	}
-	return m.addState(k, slices.Clone(idx))
+	id := len(m.States)
+	m.States = append(m.States, State{Idx: slices.Clone(idx)})
+	m.stateID[k] = id
+	return id
 }
-
-// stateOf returns the ID of the state with packed key k. Build and
-// Union enumerate the full product first, so every key their
-// transitions reach is present.
-func (m *Model) stateOf(k uint64) int { return m.stateID[k] }
 
 // maxStates bounds state enumeration; the paper's apps stay under 200
 // states after reduction.

@@ -17,6 +17,15 @@ func appOf(t *testing.T, name, src string) *ir.App {
 	return app
 }
 
+// transitionsOf materialises every transition of m, in order.
+func transitionsOf(m *Model) []Transition {
+	ts := make([]Transition, m.NumTransitions())
+	for i := range ts {
+		ts[i] = m.Transition(i)
+	}
+	return ts
+}
+
 func buildOne(t *testing.T, name, src string) *Model {
 	t.Helper()
 	m, err := Build(appOf(t, name, src))
@@ -38,7 +47,7 @@ func TestWaterLeakFourStates(t *testing.T) {
 	}
 	// Transition: water.wet closes the valve from every state.
 	var wetToClosed int
-	for _, tr := range m.Transitions {
+	for _, tr := range transitionsOf(m) {
 		if tr.Event.String() == "waterSensor.water.wet" {
 			if got, _ := m.StateValue(tr.To, "valve.valve"); got != "closed" {
 				t.Errorf("wet transition target valve = %s", got)
@@ -53,7 +62,7 @@ func TestWaterLeakFourStates(t *testing.T) {
 		t.Errorf("wet transitions = %d, want 4 (one per source state)", wetToClosed)
 	}
 	// No water.dry transitions: the app only subscribes to water.wet.
-	for _, tr := range m.Transitions {
+	for _, tr := range transitionsOf(m) {
 		if strings.Contains(tr.Event.String(), "dry") {
 			t.Errorf("unexpected dry transition %+v", tr)
 		}
@@ -90,7 +99,7 @@ func TestSmokeAlarmModel(t *testing.T) {
 
 	// smoke.detected sirens the alarm and opens the valve.
 	found := false
-	for _, tr := range m.Transitions {
+	for _, tr := range transitionsOf(m) {
 		if tr.Event.String() != "smokeDetector.smoke.detected" {
 			continue
 		}
@@ -115,7 +124,7 @@ func TestBatteryEventGuardedTransition(t *testing.T) {
 	// {<thrshld, >=thrshld} the transition must exist exactly for the
 	// low-battery event value.
 	lowSeen, highSeen := false, false
-	for _, tr := range m.Transitions {
+	for _, tr := range transitionsOf(m) {
 		if tr.Event.VarKey != "battery.battery" {
 			continue
 		}
@@ -153,7 +162,7 @@ func TestThermostatModelFig6(t *testing.T) {
 	}
 	// Mode change locks the door and sets the setpoint to 68.
 	found := false
-	for _, tr := range m.Transitions {
+	for _, tr := range transitionsOf(m) {
 		if tr.Event.VarKey != "location.mode" {
 			continue
 		}
@@ -185,7 +194,7 @@ func TestThermostatPowerPredicates(t *testing.T) {
 	}
 	// Power events: >50 turns the switch off; <5 turns it on; middle
 	// leaves it unchanged.
-	for _, tr := range m.Transitions {
+	for _, tr := range transitionsOf(m) {
 		if tr.Event.VarKey != "powerMeter.power" {
 			continue
 		}
@@ -259,7 +268,7 @@ def touchHandler(evt) { sw.on() }
 `
 	m := buildOne(t, "touch", src)
 	found := false
-	for _, tr := range m.Transitions {
+	for _, tr := range transitionsOf(m) {
 		if tr.Event.Kind == ir.AppTouchEvent {
 			found = true
 			if sw, _ := m.StateValue(tr.To, "switch.switch"); sw != "on" {
@@ -333,7 +342,7 @@ func TestMultiAppBuildSharedValve(t *testing.T) {
 	// The §3 interaction: a water.wet transition closes the valve even
 	// from the valve-open (sprinkler active) state.
 	found := false
-	for _, tr := range m.Transitions {
+	for _, tr := range transitionsOf(m) {
 		if tr.Event.String() != "waterSensor.water.wet" {
 			continue
 		}
@@ -377,7 +386,7 @@ func TestUnionMatchesJointBuild(t *testing.T) {
 	// Same set of edge signatures (state labels + transition label).
 	sig := func(m *Model) map[string]bool {
 		set := map[string]bool{}
-		for _, tr := range m.Transitions {
+		for _, tr := range transitionsOf(m) {
 			set[m.StateLabel(tr.From)+"|"+tr.Label()+"|"+m.StateLabel(tr.To)] = true
 		}
 		return set
@@ -472,9 +481,9 @@ func TestEventOnlyLabelsAblation(t *testing.T) {
 	if len(eventOnly.Nondet) == 0 {
 		t.Error("event-only labels should produce nondeterminism")
 	}
-	if len(eventOnly.Transitions) <= len(full.Transitions) {
+	if eventOnly.NumTransitions() <= full.NumTransitions() {
 		t.Errorf("event-only should over-approximate transitions: %d vs %d",
-			len(eventOnly.Transitions), len(full.Transitions))
+			eventOnly.NumTransitions(), full.NumTransitions())
 	}
 }
 
@@ -492,7 +501,7 @@ func TestUnionIdentity(t *testing.T) {
 	}
 	sig := func(x *Model) map[string]bool {
 		set := map[string]bool{}
-		for _, tr := range x.Transitions {
+		for _, tr := range transitionsOf(x) {
 			set[x.StateLabel(tr.From)+"|"+tr.Label()+"|"+x.StateLabel(tr.To)] = true
 		}
 		return set

@@ -17,7 +17,7 @@ import (
 // duplicate keys are rejected. States and transitions are added with
 // AddState and AddTransition.
 func NewSynthetic(vars []*Var) (*Model, error) {
-	m := &Model{varIdx: map[string]int{}}
+	m := &Model{varIdx: map[string]int{}, stateID: map[uint64]int{}}
 	for _, v := range vars {
 		if v.Key == "" {
 			return nil, fmt.Errorf("statemodel: synthetic variable with empty key")
@@ -31,7 +31,7 @@ func NewSynthetic(vars []*Var) (*Model, error) {
 		m.varIdx[v.Key] = len(m.Vars)
 		m.Vars = append(m.Vars, v)
 	}
-	if err := m.initPacking(0); err != nil {
+	if err := m.initPacking(); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -59,9 +59,21 @@ func (m *Model) AddTransition(from, to int, ev Event, g pathcond.Cond) error {
 	if from < 0 || from >= len(m.States) || to < 0 || to >= len(m.States) {
 		return fmt.Errorf("statemodel: transition %d->%d out of range (%d states)", from, to, len(m.States))
 	}
-	m.Transitions = append(m.Transitions, Transition{
-		From: from, To: to, Event: ev, Guard: g,
-	})
+	if m.eventIDs == nil {
+		m.eventIDs = make(map[string]int32, len(m.events))
+		for id, name := range m.events {
+			m.eventIDs[name] = int32(id)
+		}
+	}
+	name := ev.String()
+	id, ok := m.eventIDs[name]
+	if !ok {
+		id = int32(len(m.events))
+		m.eventIDs[name] = id
+		m.events = append(m.events, name)
+	}
+	m.protos = append(m.protos, prototype{Transition: Transition{Event: ev, Guard: g}, event: id})
+	m.edges = append(m.edges, edge{from: int32(from), to: int32(to), proto: int32(len(m.protos) - 1)})
 	return nil
 }
 

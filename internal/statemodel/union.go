@@ -48,27 +48,46 @@ func Union(models ...*Model) (*Model, error) {
 		return nil, err
 	}
 
-	// Add transitions (lines 2-12).
+	// Add transitions (lines 2-12). Each input prototype becomes one
+	// union prototype, registered on first use.
+	// Each input transition becomes one edge per union state agreeing
+	// with its source: one per assignment of the other variables.
+	size := 0
+	for _, in := range models {
+		agreeing := len(u.States)
+		for _, v := range in.Vars {
+			agreeing /= len(v.Values)
+		}
+		size += in.NumTransitions() * agreeing
+	}
 	appOffset := 0
-	es := newEdgeSet()
+	es := newEdgeSet(size)
 	for _, in := range models {
 		// proj[i] is the union index of input variable i.
 		proj := make([]int, len(in.Vars))
 		for i, v := range in.Vars {
 			proj[i] = u.varIdx[v.Key]
 		}
-		for _, t := range in.Transitions {
-			from := in.States[t.From]
-			to := in.States[t.To]
+		protoOf := make([]int32, len(in.protos))
+		for i := range protoOf {
+			protoOf[i] = -1
+		}
+		for _, e := range in.edges {
+			from := in.States[e.from]
+			to := in.States[e.to]
 			// Moving a union state from v to u changes only the input
 			// model's variables: a fixed packed-key offset.
 			var delta uint64
 			for i, uj := range proj {
 				delta += uint64(to.Idx[i])*u.stride[uj] - uint64(from.Idx[i])*u.stride[uj]
 			}
-			nt := t
-			nt.App += appOffset
-			p := es.proto(nt)
+			p := protoOf[e.proto]
+			if p < 0 {
+				nt := in.protos[e.proto].Transition
+				nt.App += appOffset
+				p = es.proto(nt)
+				protoOf[e.proto] = p
+			}
 			// V' = union states containing v (line 5): those agreeing
 			// with `from` on the input model's variables.
 			for s := range u.States {
@@ -82,12 +101,12 @@ func Union(models ...*Model) (*Model, error) {
 				if !agree {
 					continue
 				}
-				es.add(s, u.stateOf(u.stateKeys[s]+delta), p)
+				es.add(s, int(uint64(s)+delta), p)
 			}
 		}
 		appOffset += len(in.Apps)
 	}
-	u.Transitions = es.transitions(len(u.States))
+	es.finish(u)
 	u.detectNondeterminism()
 	return u, nil
 }

@@ -377,7 +377,7 @@ func resultFrom(an *core.Analysis, appNames []string) *Result {
 	if an.Model != nil {
 		res.States = len(an.Model.States)
 		res.StatesBeforeReduction = an.Model.StatesBeforeReduction
-		res.Transitions = len(an.Model.Transitions)
+		res.Transitions = an.Model.NumTransitions()
 	}
 	for _, d := range an.Diagnostics {
 		res.Diagnostics = append(res.Diagnostics, diagnosticOf(d))
