@@ -406,7 +406,7 @@ func (a *Analysis) CheckLTL(formula string) (holds bool, cex string, err error) 
 	cex = a.Kripke.RenderPath(r.Counterexample)
 	if r.Loop >= 0 && r.Loop < len(r.Counterexample) {
 		cex += fmt.Sprintf("\n  --(loops back to step %d)--> %s",
-			r.Loop, a.Kripke.Names[r.Counterexample[r.Loop]])
+			r.Loop, a.Kripke.Name(r.Counterexample[r.Loop]))
 	}
 	return false, cex, nil
 }

@@ -131,8 +131,8 @@ func TestBMCUndecidedBelowCompletenessThreshold(t *testing.T) {
 	if err != nil || holds {
 		t.Fatalf(`AG !"near": holds=%t err=%v, want a violation`, holds, err)
 	}
-	if !strings.Contains(cex, k.Names[10]) {
-		t.Errorf("counterexample %q does not reach the violating state %s", cex, k.Names[10])
+	if !strings.Contains(cex, k.Name(10)) {
+		t.Errorf("counterexample %q does not reach the violating state %s", cex, k.Name(10))
 	}
 
 }

@@ -12,10 +12,14 @@
 // Propositions are interned: a table maps each name to an ID, and
 // each ID owns a bitset of the states it holds in, all carved from one
 // arena. Engines look a proposition up once per atom with PropStates
-// and then test states by bit. Edges are numbered next to Succs, and
-// each edge keeps the indices of the model transitions it came from;
-// their labels, held by the model's transition prototypes, are read
-// only for counterexamples (RenderPath).
+// and then test states by bit.
+//
+// A structure built from a model keeps only what the engines read —
+// adjacency lists and proposition bitsets — and leaves the rest to the
+// model: an edge's labels are those of the model transitions between
+// its endpoints, found in the source's bucket (statemodel.Model.Outgoing),
+// and a state's name is rendered by Name when asked. Both are read only
+// for counterexamples (RenderPath).
 package kripke
 
 import (
@@ -27,13 +31,16 @@ import (
 	"github.com/soteria-analysis/soteria/internal/statemodel"
 )
 
-// Structure is an explicit Kripke structure.
+// Structure is an explicit Kripke structure: either built from a
+// state model (FromModel) or by hand (New and AddEdge).
 type Structure struct {
 	N     int
 	Init  []int
 	Succs [][]int
 	Preds [][]int
-	Names []string // human-readable state names
+	// Names holds the state names of a structure made by New. It is nil
+	// for one built from a model; read names through Name.
+	Names []string
 
 	// The proposition table: propNames[id] names proposition id and
 	// propStates[id] holds the states it is true in.
@@ -41,16 +48,11 @@ type Structure struct {
 	propNames  []string
 	propStates []StateSet
 
-	// edgeOf[s][j] is the ID of the edge s → Succs[s][j]. Edge e's
-	// label references are labRefs[labStart[e]:labStart[e+1]] in
-	// insertion order: reference r < nTrans is model transition r's
-	// label, any other names labels[r-nTrans].
-	edgeOf   [][]int32
-	labStart []int32
-	labRefs  []int32
-	model    *statemodel.Model
-	nTrans   int
-	labels   []string
+	// model is the state model the structure was built from, if any;
+	// its transitions label the edges. labels holds the labels AddEdge
+	// recorded, by edge, in insertion order.
+	model  *statemodel.Model
+	labels map[[2]int][]string
 }
 
 // StateSet is a bitset over state IDs. The nil set is empty.
@@ -141,77 +143,72 @@ func (k *Structure) Props() []string {
 // AddEdge inserts an edge (deduplicated), recording label on it unless
 // the label is empty or already recorded.
 func (k *Structure) AddEdge(from, to int, label string) {
-	e := k.edge(from, to)
-	if e < 0 {
-		e = len(k.labStart) - 1
-		k.labStart = append(k.labStart, k.labStart[e])
+	if !slices.Contains(k.Succs[from], to) {
 		k.Succs[from] = append(k.Succs[from], to)
-		k.edgeOf[from] = append(k.edgeOf[from], int32(e))
 		k.Preds[to] = append(k.Preds[to], from)
 	}
 	if label == "" {
 		return
 	}
-	i := slices.Index(k.labels, label)
-	if i < 0 {
-		i = len(k.labels)
-		k.labels = append(k.labels, label)
-	}
-	r := int32(k.nTrans + i)
-	end := k.labStart[e+1]
-	if slices.Contains(k.labRefs[k.labStart[e]:end], r) {
-		return
-	}
-	k.labRefs = slices.Insert(k.labRefs, int(end), r)
-	for j := e + 1; j < len(k.labStart); j++ {
-		k.labStart[j]++
-	}
-}
-
-// edge returns the ID of the edge from → to, or -1.
-func (k *Structure) edge(from, to int) int {
-	if from >= len(k.edgeOf) {
-		return -1
-	}
-	for j, t := range k.Succs[from] {
-		if t == to {
-			return int(k.edgeOf[from][j])
+	e := [2]int{from, to}
+	if !slices.Contains(k.labels[e], label) {
+		if k.labels == nil {
+			k.labels = map[[2]int][]string{}
 		}
+		k.labels[e] = append(k.labels[e], label)
 	}
-	return -1
 }
 
 // EdgeLabels returns the distinct non-empty labels of the edge
-// from → to in insertion order, or nil when there are none.
+// from → to in insertion order, or nil when there are none. For a
+// structure built from a model these are the labels of the model
+// transitions from → to in transition order, or "stutter" on the
+// self-loop of a state no transition leaves.
 func (k *Structure) EdgeLabels(from, to int) []string {
-	e := k.edge(from, to)
-	if e < 0 {
+	if from < 0 || from >= k.N {
 		return nil
 	}
 	var out []string
-	for _, r := range k.labRefs[k.labStart[e]:k.labStart[e+1]] {
-		var l string
-		if int(r) < k.nTrans {
-			l = k.model.TransitionLabel(int(r))
-		} else {
-			l = k.labels[int(r)-k.nTrans]
-		}
+	add := func(l string) {
 		if l != "" && !slices.Contains(out, l) {
 			out = append(out, l)
 		}
 	}
+	if m := k.model; m != nil {
+		ts := m.Outgoing(from)
+		for _, i := range ts {
+			if _, t := m.Endpoints(int(i)); t == to {
+				add(m.TransitionLabel(int(i)))
+			}
+		}
+		if len(ts) == 0 && from == to {
+			add("stutter")
+		}
+	}
+	for _, l := range k.labels[[2]int{from, to}] {
+		add(l)
+	}
 	return out
+}
+
+// Name returns state s's human-readable name: Names[s] for a structure
+// made by New, and for one built from a model the state's
+// "[variable=value, ...]" label (statemodel.Model.StateLabel),
+// rendered on each call.
+func (k *Structure) Name(s int) string {
+	if k.Names == nil && k.model != nil {
+		return k.model.StateLabel(s)
+	}
+	return k.Names[s]
 }
 
 // New creates an empty structure with n states, all initial.
 func New(n int) *Structure {
 	k := &Structure{
-		N:        n,
-		Succs:    make([][]int, n),
-		Preds:    make([][]int, n),
-		Names:    make([]string, n),
-		edgeOf:   make([][]int32, n),
-		labStart: []int32{0},
+		N:     n,
+		Succs: make([][]int, n),
+		Preds: make([][]int, n),
+		Names: make([]string, n),
 	}
 	for i := 0; i < n; i++ {
 		k.Names[i] = fmt.Sprintf("s%d", i)
@@ -225,101 +222,93 @@ func New(n int) *Structure {
 // with residual guards are included (they are possible behaviours —
 // the sound over-approximation the paper accepts).
 //
-// The result is what New followed by one AddEdge per transition (and a
-// "stutter" self-loop per deadlocked state) produces, built without
-// per-edge allocation: adjacency lists, edge IDs, the per-edge
-// transition lists and the proposition bitsets are carved from arenas
-// sized by the model's counts.
+// The adjacency and edge labels are what New followed by one AddEdge
+// per transition (and a "stutter" self-loop per deadlocked state)
+// produces, built without per-edge allocation. Each source's successors are the targets of its
+// bucket (statemodel.Model.Outgoing) in order of first appearance,
+// repeats dropped by a per-target stamp; predecessors follow the first
+// appearance of each edge in transition order. The adjacency lists are
+// carved from arenas sized by the distinct edges, and the proposition
+// bitsets from one arena.
 func FromModel(m *statemodel.Model) *Structure {
 	n, nt := len(m.States), m.NumTransitions()
 	k := &Structure{
-		N:      n,
-		Init:   make([]int, n),
-		Succs:  make([][]int, n),
-		Preds:  make([][]int, n),
-		Names:  make([]string, n),
-		edgeOf: make([][]int32, n),
-		model:  m,
-		nTrans: nt,
+		N:     n,
+		Init:  make([]int, n),
+		Succs: make([][]int, n),
+		Preds: make([][]int, n),
+		model: m,
 	}
 	for s := range k.Init {
 		k.Init[s] = s
 	}
 
-	// A state has at most as many successors (predecessors) as
-	// transitions leaving (entering) it.
-	outCount := make([]int, n)
-	inCount := make([]int, n)
-	for i := range nt {
-		from, to := m.Endpoints(i)
-		outCount[from]++
-		inCount[to]++
-	}
-	succArena := make([]int, nt)
-	predArena := make([]int, nt)
-	edgeArena := make([]int32, nt)
-	so, po := 0, 0
-	for s := 0; s < n; s++ {
-		k.Succs[s] = succArena[so : so : so+outCount[s]]
-		k.edgeOf[s] = edgeArena[so : so : so+outCount[s]]
-		so += outCount[s]
-		k.Preds[s] = predArena[po : po : po+inCount[s]]
-		po += inCount[s]
+	// first marks the transitions that are the first of their edge;
+	// stamp[t] is the source + 1 that last reached t. A deadlocked state
+	// gets its stutter self-loop.
+	first := make(StateSet, words(nt)) // a bitset over transitions
+	stamp := make([]int32, n)
+	inCount := make([]int32, n)
+	edges := 0
+	for s := range n {
+		ts := m.Outgoing(s)
+		if len(ts) == 0 {
+			edges++
+			inCount[s]++
+			continue
+		}
+		for _, i := range ts {
+			if _, to := m.Endpoints(int(i)); stamp[to] != int32(s)+1 {
+				stamp[to] = int32(s) + 1
+				first.add(int(i))
+				edges++
+				inCount[to]++
+			}
+		}
 	}
 
-	// Edges in order of first appearance, and each transition's edge.
-	edges := 0
-	tEdge := make([]int32, nt)
+	succArena := make([]int, edges)
+	so := 0
+	for s := range n {
+		lo := so
+		ts := m.Outgoing(s)
+		if len(ts) == 0 {
+			succArena[so] = s
+			so++
+		}
+		for _, i := range ts {
+			if first.Has(int(i)) {
+				_, succArena[so] = m.Endpoints(int(i))
+				so++
+			}
+		}
+		k.Succs[s] = succArena[lo:so:so]
+	}
+	predArena := make([]int, edges)
+	po := 0
+	for s := range n {
+		k.Preds[s] = predArena[po : po : po+int(inCount[s])]
+		po += int(inCount[s])
+	}
 	for i := range nt {
-		from, to := m.Endpoints(i)
-		e := k.edge(from, to)
-		if e < 0 {
-			e = edges
-			edges++
-			k.Succs[from] = append(k.Succs[from], to)
-			k.edgeOf[from] = append(k.edgeOf[from], int32(e))
+		if first.Has(i) {
+			from, to := m.Endpoints(i)
 			k.Preds[to] = append(k.Preds[to], from)
 		}
-		tEdge[i] = int32(e)
 	}
-	k.edgeTransitions(tEdge, edges)
-	k.propositions(m)
-
-	for s := 0; s < n; s++ {
-		// Total transition relation: deadlocked states self-loop.
-		if len(k.Succs[s]) == 0 {
-			k.AddEdge(s, s, "stutter")
+	for s := range n {
+		if len(m.Outgoing(s)) == 0 {
+			k.Preds[s] = append(k.Preds[s], s)
 		}
-		k.Succs[s] = slices.Clip(k.Succs[s])
-		k.Preds[s] = slices.Clip(k.Preds[s])
 	}
+
+	k.propositions(m)
 	return k
 }
 
-// edgeTransitions lays out, per edge, the indices of its transitions
-// in transition order: a counting sort of the transitions by edge.
-func (k *Structure) edgeTransitions(tEdge []int32, edges int) {
-	// Count into labStart[e] and sum to bucket ends, then fill each
-	// bucket back to front, leaving labStart[e] at its start.
-	k.labStart = make([]int32, edges+1)
-	for _, e := range tEdge {
-		k.labStart[e]++
-	}
-	for e := 1; e <= edges; e++ {
-		k.labStart[e] += k.labStart[e-1]
-	}
-	k.labRefs = make([]int32, len(tEdge))
-	for i := len(tEdge) - 1; i >= 0; i-- {
-		e := tEdge[i]
-		k.labStart[e]--
-		k.labRefs[k.labStart[e]] = int32(i)
-	}
-}
-
 // propositions fills the proposition table — every "variable=value",
-// then the "ev:<event>" marker of each event ID — with the state bitsets
-// carved from one arena, and sets every state's name
-// (statemodel.Model.StateLabel) from the rendered propositions.
+// then the "ev:<event>" marker of each event ID — with the state
+// bitsets carved from one arena.
 func (k *Structure) propositions(m *statemodel.Model) {
 	varProp := make([][]int, len(m.Vars))
 	for vi, v := range m.Vars {
@@ -342,40 +331,14 @@ func (k *Structure) propositions(m *statemodel.Model) {
 	for id := range k.propStates {
 		k.propStates[id] = arena[id*w : (id+1)*w : (id+1)*w]
 	}
-	for i := range k.nTrans {
+	for i := range m.NumTransitions() {
 		_, to := m.Endpoints(i)
 		k.propStates[evProp[m.EventID(i)]].add(to)
 	}
-
-	// Names are "[p1, p2, ...]"; size the one string they share.
-	size := 0
-	for _, st := range m.States {
-		size += 2 + 2*len(st.Idx)
-		for vi, x := range st.Idx {
-			size += len(k.propNames[varProp[vi][x]])
-		}
-	}
-	var sb strings.Builder
-	sb.Grow(size)
-	ends := make([]int, len(m.States))
 	for s, st := range m.States {
-		sb.WriteByte('[')
 		for vi, x := range st.Idx {
-			if vi > 0 {
-				sb.WriteString(", ")
-			}
-			id := varProp[vi][x]
-			sb.WriteString(k.propNames[id])
-			k.propStates[id].add(s)
+			k.propStates[varProp[vi][x]].add(s)
 		}
-		sb.WriteByte(']')
-		ends[s] = sb.Len()
-	}
-	names := sb.String()
-	start := 0
-	for s, end := range ends {
-		k.Names[s] = names[start:end]
-		start = end
 	}
 }
 
@@ -389,7 +352,7 @@ func (k *Structure) RenderPath(path []int) string {
 			sb.WriteString(strings.Join(k.EdgeLabels(path[i-1], s), " | "))
 			sb.WriteString("]--> ")
 		}
-		sb.WriteString(k.Names[s])
+		sb.WriteString(k.Name(s))
 	}
 	return sb.String()
 }

@@ -397,50 +397,14 @@ func (es *edgeSet) add(from, to int, p int32) {
 
 // finish installs the recorded transitions as m's relation, in
 // insertion order, keeping the first of each set of equal ones (same
-// endpoints, label and app) and numbering the events in order of first
-// use by a kept transition. Duplicates are found without a map: a
-// counting sort buckets the records by source, insertion order
-// preserved, and within a bucket each target chains the records kept
-// so far (one per distinct label and app on that edge), reset by a
-// per-target stamp when the bucket changes. The records are compacted
-// in place.
+// endpoints, label and app), indexes them by source and numbers the
+// events in order of first use by a kept transition. Duplicates are
+// dropped without a map, in place: dropRunRepeats proves most records
+// unique in one linear pass, and dropRepeats checks the rest.
 func (es *edgeSet) finish(m *Model) {
 	n := len(m.States)
-	start := make([]int32, n+1)
-	for _, e := range es.edges {
-		start[e.from+1]++
-	}
-	prefixSums(start)
-	bySource := make([]int32, len(es.edges))
-	for i, e := range es.edges {
-		bySource[start[e.from]] = int32(i)
-		start[e.from]++
-	}
-
-	// head[to] is the last kept record into to from the current
-	// source (valid while stamp[to] is that source + 1); next links a
-	// kept record to the one kept before it. A dropped record's
-	// prototype becomes -1.
-	stamp := make([]int32, n)
-	head := make([]int32, n)
-	next := make([]int32, len(es.edges))
-	for _, i := range bySource {
-		e := &es.edges[i]
-		if stamp[e.to] != e.from+1 {
-			stamp[e.to], head[e.to] = e.from+1, -1
-		}
-		dup := false
-		for j := head[e.to]; j >= 0; j = next[j] {
-			if es.class[es.edges[j].proto] == es.class[e.proto] {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			e.proto = -1
-		} else {
-			next[i], head[e.to] = head[e.to], i
-		}
+	if slow := es.dropRunRepeats(n); slow != nil {
+		es.dropRepeats(n, slow)
 	}
 	kept := es.edges[:0]
 	for _, e := range es.edges {
@@ -448,6 +412,8 @@ func (es *edgeSet) finish(m *Model) {
 			kept = append(kept, e)
 		}
 	}
+	m.edges, m.protos = kept, es.protos
+	m.indexSources()
 
 	names := make([]string, len(es.names))
 	for name, id := range es.names {
@@ -466,7 +432,109 @@ func (es *edgeSet) finish(m *Model) {
 	for i := range es.protos {
 		es.protos[i].event = renum[es.protos[i].event]
 	}
-	m.edges, m.protos = kept, es.protos
+}
+
+// dropRunRepeats is the linear pass of the dedup. A run is a maximal
+// stretch of consecutive records with one source and one prototype.
+// A record whose target already occurred in its run repeats an earlier
+// record and is dropped (its prototype becomes -1). When each of a
+// prototype's sources forms a single run and the runs come in
+// increasing source order, every repeat of one of its records lies in
+// the record's run, so a (label, app) class holding only that
+// prototype is then free of duplicates. The other classes — those
+// with several prototypes or with a prototype out of source order —
+// are returned as the set dropRepeats must check, or nil when there
+// are none. Build derives each prototype in one pass over the states
+// in order, so a class fails here only when several of its paths share
+// a label and app (or under EventOnlyLabels); Union's prototypes,
+// shared by many input transitions, come out of source order.
+func (es *edgeSet) dropRunRepeats(n int) []bool {
+	var slow []bool
+	mark := func(c int32) {
+		if slow == nil {
+			slow = make([]bool, len(es.classes))
+		}
+		slow[c] = true
+	}
+	protos := make([]int32, len(es.classes)) // per class: its prototype count
+	for _, c := range es.class {
+		if protos[c]++; protos[c] == 2 {
+			mark(c)
+		}
+	}
+	// last[p] is the source of prototype p's latest run + 1; stamp[t]
+	// is the number of the latest run reaching target t.
+	last := make([]int32, len(es.protos))
+	stamp := make([]int32, n)
+	run := int32(0)
+	from, proto := int32(-1), int32(-1)
+	for i := range es.edges {
+		e := &es.edges[i]
+		if e.from != from || e.proto != proto {
+			from, proto = e.from, e.proto
+			run++
+			if last[proto] > from {
+				mark(es.class[proto])
+			}
+			last[proto] = from + 1
+		}
+		if stamp[e.to] == run {
+			e.proto = -1
+			continue
+		}
+		stamp[e.to] = run
+	}
+	return slow
+}
+
+// dropRepeats drops the remaining duplicates among the records of the
+// slow classes. A counting sort buckets those records by source,
+// insertion order preserved, and within a bucket each target chains
+// the records kept so far (one per distinct label and app on that
+// edge), reset by a per-target stamp when the bucket changes.
+func (es *edgeSet) dropRepeats(n int, slow []bool) {
+	checked := func(e edge) bool { return e.proto >= 0 && slow[es.class[e.proto]] }
+	start := make([]int32, n)
+	count := 0
+	for _, e := range es.edges {
+		if checked(e) {
+			start[e.from]++
+			count++
+		}
+	}
+	prefixSums(start)
+	bySource := make([]int32, count)
+	for i := len(es.edges) - 1; i >= 0; i-- {
+		if e := es.edges[i]; checked(e) {
+			start[e.from]--
+			bySource[start[e.from]] = int32(i)
+		}
+	}
+
+	// head[to] is the position in bySource of the last kept record into
+	// to from the current source (valid while stamp[to] is that source
+	// + 1); next links a kept record to the one kept before it.
+	stamp := make([]int32, n)
+	head := make([]int32, n)
+	next := make([]int32, count)
+	for j, i := range bySource {
+		e := &es.edges[i]
+		if stamp[e.to] != e.from+1 {
+			stamp[e.to], head[e.to] = e.from+1, -1
+		}
+		dup := false
+		for k := head[e.to]; k >= 0; k = next[k] {
+			if es.class[es.edges[bySource[k]].proto] == es.class[e.proto] {
+				dup = true
+				break
+			}
+		}
+		if dup {
+			e.proto = -1
+		} else {
+			next[j], head[e.to] = head[e.to], int32(j)
+		}
+	}
 }
 
 // pathEvents returns the events a path of the handler subscribed
@@ -552,6 +620,11 @@ type guardAtom struct {
 	vi    int
 	table []verdict
 	evt   bool // evt.value atom, decided per event
+	// bit is the atom's bit in the residual mask that keys the
+	// transition prototypes; 0 when its table holds no residual
+	// verdict, or when the path has more such atoms than a mask has
+	// bits (see compiledPath.keyVars).
+	bit uint64
 }
 
 // compiledPath is a symbolic path resolved against the model's
@@ -565,6 +638,10 @@ type compiledPath struct {
 	writes   []int
 	branches []uint64
 	sig      string
+	// keyVars, set when more than maskBits atoms can be residual, lists the
+	// variables those atoms read: prototypes are then keyed by the
+	// packed values of these variables instead of a residual mask.
+	keyVars []int
 }
 
 func (m *Model) compilePath(app *ir.App, path symexec.Path) *compiledPath {
@@ -574,6 +651,7 @@ func (m *Model) compilePath(app *ir.App, path symexec.Path) *compiledPath {
 		for _, atom := range path.Guard.Atoms {
 			cp.atoms = append(cp.atoms, m.compileAtom(app, atom))
 		}
+		cp.keyResiduals()
 	}
 
 	// Apply actions in order; unknown writes fork. Each fork is the
@@ -607,6 +685,36 @@ func (m *Model) compilePath(app *ir.App, path symexec.Path) *compiledPath {
 		}
 	}
 	return cp
+}
+
+// maskBits is the number of atoms a residual mask can key; a variable
+// so that tests can force the fallback key.
+var maskBits = 64
+
+// keyResiduals numbers the atoms whose verdict can be residual: a
+// state's residual guard, and so its prototype, is fixed by which of
+// them are residual there, since every other verdict is holds or the
+// state is skipped. Up to 64 such atoms each get a bit of the mask
+// that keys the prototypes; past that the key is the values of the
+// variables they read.
+func (cp *compiledPath) keyResiduals() {
+	var resid []int
+	for i := range cp.atoms {
+		if slices.Contains(cp.atoms[i].table, residual) {
+			resid = append(resid, i)
+		}
+	}
+	if len(resid) > maskBits {
+		for _, i := range resid {
+			if vi := cp.atoms[i].vi; !slices.Contains(cp.keyVars, vi) {
+				cp.keyVars = append(cp.keyVars, vi)
+			}
+		}
+		return
+	}
+	for b, i := range resid {
+		cp.atoms[i].bit = 1 << b
+	}
 }
 
 // compileAtom resolves one guard atom: against the variable it reads
@@ -703,6 +811,9 @@ func (m *Model) deriveEventTransitions(ai int, handler string, cp *compiledPath,
 		tvi, tval = vi, evi
 	}
 
+	// The loop below visits every state once: charge them all now.
+	m.budget.TickN(uint64(len(m.States)), "statemodel.transitions")
+
 	// verdicts holds one verdict per atom; atoms the state cannot
 	// decide are settled here, once per event.
 	verdicts := make([]byte, len(cp.atoms))
@@ -714,7 +825,6 @@ func (m *Model) deriveEventTransitions(ai int, handler string, cp *compiledPath,
 		if a.evt {
 			if ok, decided := m.decideEvtAtom(a.atom, ev); decided {
 				if !ok {
-					m.budget.TickN(uint64(len(m.States)), "statemodel.transitions")
 					return
 				}
 				verdicts[i] = byte(holds)
@@ -722,12 +832,15 @@ func (m *Model) deriveEventTransitions(ai int, handler string, cp *compiledPath,
 		}
 	}
 
-	// Transition prototypes keyed by the verdict vector.
-	protos := map[string]int32{}
+	// Transition prototypes keyed by the residual mask (keyResiduals);
+	// consecutive states mostly share one, so the last is kept at hand.
+	protos := map[uint64]int32{}
+	var last uint64
+	p := int32(-1)
 	for s := range m.States {
-		m.budget.Tick("statemodel.transitions")
 		st := m.States[s].Idx
 		feasible := true
+		var pkey uint64
 		for i := range cp.atoms {
 			a := &cp.atoms[i]
 			if a.vi < 0 {
@@ -743,17 +856,30 @@ func (m *Model) deriveEventTransitions(ai int, handler string, cp *compiledPath,
 				break
 			}
 			verdicts[i] = byte(v)
+			if v == residual {
+				pkey |= a.bit
+			}
 		}
 		if !feasible {
 			continue
 		}
-		p, ok := protos[string(verdicts)]
-		if !ok {
-			p = es.proto(Transition{
-				Event: ev, Guard: cp.residual(verdicts),
-				App: ai, Handler: handler, ActionsSig: cp.sig,
-			})
-			protos[string(verdicts)] = p
+		for _, vi := range cp.keyVars {
+			x := st[vi]
+			if vi == tvi {
+				x = tval
+			}
+			pkey += uint64(x) * m.stride[vi]
+		}
+		if p < 0 || pkey != last {
+			var ok bool
+			if p, ok = protos[pkey]; !ok {
+				p = es.proto(Transition{
+					Event: ev, Guard: cp.residual(verdicts),
+					App: ai, Handler: handler, ActionsSig: cp.sig,
+				})
+				protos[pkey] = p
+			}
+			last = pkey
 		}
 
 		// Packed key of the post-event state (state s has key s)
@@ -824,7 +950,8 @@ func (m *Model) decideEvtAtom(atom pathcond.Atom, ev Event) (holds, decided bool
 
 // detectNondeterminism flags states with two feasible same-event
 // transitions to different successors (§4.2: "SOTERIA reports
-// nondeterministic state models as a safety violation").
+// nondeterministic state models as a safety violation"), stopping at
+// the 64th report.
 //
 // Transitions are grouped by source state and event ID (events that
 // render alike share an ID), transitions in index order, and the
@@ -832,38 +959,23 @@ func (m *Model) decideEvtAtom(atom pathcond.Atom, ev Event) (holds, decided bool
 // without building them: sources in the order of their "from|"
 // prefixes (sourceOrder), then events by rank of the rendered event.
 // This is the same order, since no "from|" prefix is a prefix of
-// another. Two stable counting sorts, by event rank and then by
-// source, lay the groups out as runs of one index array.
+// another. Each source's bucket (Outgoing) is copied and stably sorted
+// by event rank when its turn comes, so the search sorts only the
+// sources it reaches.
 func (m *Model) detectNondeterminism() {
 	const maxReports = 64
-	n, nt := len(m.States), len(m.edges)
 	evRank := ranks(m.events)
-	evStart := make([]int32, len(m.events)+1)
-	for i := range nt {
-		evStart[evRank[m.EventID(i)]]++
+	rank := make([]int, len(m.protos)) // per prototype: its event's rank
+	for p := range m.protos {
+		if id := m.protos[p].event; id >= 0 {
+			rank[p] = evRank[id]
+		}
 	}
-	prefixSums(evStart)
-	byEv := make([]int32, nt)
-	for i := nt - 1; i >= 0; i-- {
-		r := evRank[m.EventID(i)]
-		evStart[r]--
-		byEv[evStart[r]] = int32(i)
-	}
-	// order[start[s]:start[s+1]] lists source s's transitions.
-	start := make([]int32, n+1)
-	for _, e := range m.edges {
-		start[e.from]++
-	}
-	prefixSums(start)
-	order := make([]int32, nt)
-	for j := nt - 1; j >= 0; j-- {
-		s := m.edges[byEv[j]].from
-		start[s]--
-		order[start[s]] = byEv[j]
-	}
-
-	for _, s := range sourceOrder(n) {
-		ts := order[start[s]:start[s+1]]
+	byRank := func(a, b int32) int { return rank[m.edges[a].proto] - rank[m.edges[b].proto] }
+	var ts []int32
+	for _, s := range sourceOrder(len(m.States)) {
+		ts = append(ts[:0], m.Outgoing(int(s))...)
+		slices.SortStableFunc(ts, byRank)
 		for lo := 0; lo < len(ts); {
 			ev := m.EventID(int(ts[lo]))
 			hi := lo + 1

@@ -148,7 +148,7 @@ func dumpModel(w io.Writer, label string, m *statemodel.Model, err error) {
 
 	k := kripke.FromModel(m)
 	for s := 0; s < k.N; s++ {
-		fmt.Fprintf(w, "k %d %q succs=%v preds=%v labels=%q\n", s, k.Names[s], k.Succs[s], k.Preds[s], k.PropsAt(s))
+		fmt.Fprintf(w, "k %d %q succs=%v preds=%v labels=%q\n", s, k.Name(s), k.Succs[s], k.Preds[s], k.PropsAt(s))
 	}
 	fmt.Fprintf(w, "props %q\n", k.Props())
 	for s := 0; s < k.N; s++ {

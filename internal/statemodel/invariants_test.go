@@ -1,6 +1,7 @@
 package statemodel
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
 	"testing"
@@ -259,4 +260,102 @@ func TestSourceOrder(t *testing.T) {
 			t.Errorf("n=%d: sourceOrder = %q, want %q", n, got, want)
 		}
 	}
+}
+
+// manyThresholds compares one power reading with more thresholds than
+// property abstraction keeps as predicates (the first 8 in string
+// order), so onSwitch's "p > 90" stays residual in every state: no
+// market app has such an atom.
+const manyThresholds = `
+definition(name: "Many-Thresholds", namespace: "soteria", author: "soteria", description: "d", category: "c")
+preferences {
+    section("Devices") {
+        input "meter", "capability.powerMeter", required: true
+        input "sw", "capability.switch", required: true
+    }
+}
+def installed() {
+    subscribe(sw, "switch", onSwitch)
+    subscribe(location, "mode", onMode)
+}
+def onSwitch(evt) {
+    if (meter.currentValue("power") > 90) { sw.off() }
+}
+def onMode(evt) {
+    def p = meter.currentValue("power")
+    if (p > 100) { sw.off() }
+    else if (p > 70) { sw.on() }
+    else if (p > 60) { sw.off() }
+    else if (p > 50) { sw.on() }
+    else if (p > 40) { sw.off() }
+    else if (p > 30) { sw.on() }
+    else if (p > 20) { sw.off() }
+    else if (p > 10) { sw.on() }
+}
+`
+
+// TestPrototypeKeyFallback checks the prototype key used past 64
+// residual-capable atoms: keyed by the values of the variables those
+// atoms read, derivation may make more prototypes but the same
+// relation, so manyThresholds, every market app and every candidate
+// group must extract the same transitions and nondeterminism reports
+// as with the residual mask.
+func TestPrototypeKeyFallback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("extracts the corpus twice")
+	}
+	many, err := ir.BuildSource("many-thresholds", manyThresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := [][]*ir.App{{many}}
+	byID := map[string]*ir.App{}
+	for _, spec := range market.All() {
+		app, err := spec.Parse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byID[spec.ID] = app
+		envs = append(envs, []*ir.App{app})
+	}
+	for _, g := range market.CandidateGroups() {
+		var apps []*ir.App
+		for _, id := range g.Members {
+			apps = append(apps, byID[id])
+		}
+		envs = append(envs, apps)
+	}
+	build := func(apps []*ir.App) *Model {
+		m, err := Build(apps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	defer func(bits int) { maskBits = bits }(maskBits)
+	split := 0
+	for _, apps := range envs {
+		maskBits = 64
+		want := build(apps)
+		maskBits = 0
+		got := build(apps)
+		if len(got.protos) > len(want.protos) {
+			split++
+		}
+		if got.NumTransitions() != want.NumTransitions() {
+			t.Fatalf("%s: %d transitions, want %d", apps[0].Name, got.NumTransitions(), want.NumTransitions())
+		}
+		for i := range want.NumTransitions() {
+			if g, w := got.Transition(i), want.Transition(i); fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Fatalf("%s: transition %d = %v, want %v", apps[0].Name, i, g, w)
+			}
+		}
+		if !slices.Equal(got.Events(), want.Events()) || fmt.Sprint(got.Nondet) != fmt.Sprint(want.Nondet) {
+			t.Fatalf("%s: events or nondeterminism reports differ", apps[0].Name)
+		}
+	}
+	if split == 0 {
+		t.Fatal("no environment has residual-capable atoms; the fallback key went unexercised")
+	}
+	t.Logf("%d of %d environments split prototypes under the fallback key", split, len(envs))
 }

@@ -166,6 +166,12 @@ type AppModel struct {
 // Transition read the relation one transition at a time; Endpoints,
 // EventID, TransitionLabel and Events are the column reads the Kripke
 // translation and the property catalogue need.
+//
+// The relation is indexed by source once, when it is finished: CSR
+// offsets plus each source's transition indices in index order, read
+// through Outgoing. Nondeterminism detection, the Kripke translation
+// and its edge labels read these buckets instead of sorting the
+// relation again.
 type Model struct {
 	Apps   []*AppModel
 	Vars   []*Var
@@ -175,9 +181,15 @@ type Model struct {
 	// stateID maps packed keys to state IDs in models whose states are
 	// added one at a time (AddState). It is nil when the states are the
 	// full product (Build, Union), where state k has packed key k.
-	stateID  map[uint64]int
-	edges    []edge
-	protos   []prototype
+	stateID map[uint64]int
+	edges   []edge
+	protos  []prototype
+	// outTrans[outStart[s]:outStart[s+1]] are the indices of the
+	// transitions leaving state s, in index order (indexSources). nil
+	// until a synthetic model's first read after AddState or
+	// AddTransition.
+	outStart []int32
+	outTrans []int32
 	events   []string         // rendered events by event ID
 	eventIDs map[string]int32 // events' IDs, built by AddTransition
 	Nondet   []NondetReport
@@ -220,6 +232,37 @@ func (m *Model) TransitionLabel(i int) string {
 	return p.Label()
 }
 
+// Outgoing returns the indices of the transitions leaving state s, in
+// index order. The slice belongs to the model and must not be
+// modified. A synthetic model builds the index on the first call after
+// AddState or AddTransition, so make that call before sharing the
+// model between goroutines.
+func (m *Model) Outgoing(s int) []int32 {
+	if m.outStart == nil {
+		m.indexSources()
+	}
+	return m.outTrans[m.outStart[s]:m.outStart[s+1]]
+}
+
+// indexSources buckets the transitions by source: a counting sort of
+// the transition indices, each bucket in index order.
+func (m *Model) indexSources() {
+	// Count into outStart[s] and sum to bucket ends, then fill each
+	// bucket back to front, leaving outStart[s] at its start.
+	n := len(m.States)
+	m.outStart = make([]int32, n+1)
+	for _, e := range m.edges {
+		m.outStart[e.from]++
+	}
+	prefixSums(m.outStart)
+	m.outTrans = make([]int32, len(m.edges))
+	for i := len(m.edges) - 1; i >= 0; i-- {
+		s := m.edges[i].from
+		m.outStart[s]--
+		m.outTrans[m.outStart[s]] = int32(i)
+	}
+}
+
 // Events returns the distinct rendered events of the transitions,
 // indexed by event ID (in order of first use). The slice belongs to
 // the model and must not be modified.
@@ -243,13 +286,27 @@ func (m *Model) StateValue(s int, key string) (string, bool) {
 	return v.Values[m.States[s].Idx[i]], true
 }
 
-// StateLabel renders a state as "[cap.attr=value, ...]".
+// StateLabel renders a state as "[cap.attr=value, ...]", into one
+// string sized up front.
 func (m *Model) StateLabel(s int) string {
-	parts := make([]string, len(m.Vars))
+	idx := m.States[s].Idx
+	size := 2 * max(len(m.Vars), 1) // the brackets and the ", " separators
 	for i, v := range m.Vars {
-		parts[i] = v.Key + "=" + v.Values[m.States[s].Idx[i]]
+		size += len(v.Key) + 1 + len(v.Values[idx[i]])
 	}
-	return "[" + strings.Join(parts, ", ") + "]"
+	var sb strings.Builder
+	sb.Grow(size)
+	sb.WriteByte('[')
+	for i, v := range m.Vars {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(v.Key)
+		sb.WriteByte('=')
+		sb.WriteString(v.Values[idx[i]])
+	}
+	sb.WriteByte(']')
+	return sb.String()
 }
 
 // FindStates returns the states satisfying all the given key=value

@@ -49,6 +49,7 @@ func (m *Model) AddState(idx []int) (int, error) {
 			return -1, fmt.Errorf("statemodel: index %d out of domain for %s", i, m.Vars[vi].Key)
 		}
 	}
+	m.outStart = nil
 	return m.internState(idx), nil
 }
 
@@ -74,6 +75,7 @@ func (m *Model) AddTransition(from, to int, ev Event, g pathcond.Cond) error {
 	}
 	m.protos = append(m.protos, prototype{Transition: Transition{Event: ev, Guard: g}, event: id})
 	m.edges = append(m.edges, edge{from: int32(from), to: int32(to), proto: int32(len(m.protos) - 1)})
+	m.outStart = nil
 	return nil
 }
 
