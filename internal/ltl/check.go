@@ -175,7 +175,7 @@ func (b *builder) expand(q *gbaNode) {
 	if len(q.new) == 0 {
 		k := key(q.old) + "|" + key(q.next)
 		if r, ok := b.byKey[k]; ok {
-			for in := range q.incoming {
+			for _, in := range sortedIDs(q.incoming) {
 				r.incoming[in] = true
 			}
 			return
@@ -251,7 +251,7 @@ func (b *builder) expand(q *gbaNode) {
 
 func cloneNode(q *gbaNode, id int) *gbaNode {
 	inc := map[int]bool{}
-	for k := range q.incoming {
+	for _, k := range sortedIDs(q.incoming) {
 		inc[k] = true
 	}
 	return &gbaNode{
@@ -312,7 +312,7 @@ func newProduct(k *kripke.Structure, a *automaton) *product {
 				p.lits[n.id] = append(p.lits[n.id], propLit{states: k.PropStates(x.Name), neg: true})
 			}
 		}
-		for in := range n.incoming {
+		for _, in := range sortedIDs(n.incoming) {
 			if in == initMarker {
 				p.inits = append(p.inits, n)
 			} else {
@@ -376,12 +376,19 @@ func (p *product) findAcceptingLasso() ([]int, int) {
 
 	// Tarjan SCC over the reachable product graph.
 	sccID := tarjan(len(order), adj)
-	// Group members per SCC.
+	// Group members per SCC, and list the SCCs in order of their least
+	// member (vertices are numbered in discovery order), so the lasso
+	// is the same on every call.
 	members := map[int][]int{}
+	var byLeast []int
 	for v, id := range sccID {
+		if members[id] == nil {
+			byLeast = append(byLeast, id)
+		}
 		members[id] = append(members[id], v)
 	}
-	for id, ms := range members {
+	for _, id := range byLeast {
+		ms := members[id]
 		if !p.sccViable(ms, adj, sccID, id) {
 			continue
 		}
@@ -533,6 +540,16 @@ func (p *product) buildLasso(order []pstate, adj map[int][]int, inits []pstate, 
 		path = append(path, order[v].s)
 	}
 	return path, loop
+}
+
+// sortedIDs returns a node-ID set's members in increasing order.
+func sortedIDs(set map[int]bool) []int {
+	ids := make([]int, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
 }
 
 // tarjan computes SCC IDs for a graph with n vertices.
