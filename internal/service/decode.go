@@ -214,6 +214,7 @@ func (s *Server) parseAnalyze(data []byte) (*job, *httpError) {
 		async:   req.Async,
 		timings: req.Timings,
 		status:  statusQueued,
+		ready:   make(chan struct{}),
 		done:    make(chan struct{}),
 	}, nil
 }
@@ -266,6 +267,7 @@ func (s *Server) parseBatch(data []byte) (*job, *httpError) {
 		timings: req.Timings,
 		breq:    &req,
 		status:  statusQueued,
+		ready:   make(chan struct{}),
 		done:    make(chan struct{}),
 	}, nil
 }

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/obs"
 	"github.com/soteria-analysis/soteria/internal/report"
 )
@@ -150,13 +149,14 @@ func (s *Server) rejectSubmit(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusTooManyRequests, "job queue is full, retry after %ds", secs)
 }
 
-// respondJob renders a completed or polled job. The job's trace ID is
-// returned in X-Soteria-Trace; when the job asked for timings, each
-// record in the response carries the span tree on a per-response copy
-// (never the stored record — timing data is run-varying and must stay
-// out of the content-addressed bytes).
-func respondJob(w http.ResponseWriter, code int, j *job) {
-	status, results, elapsed := j.snapshot()
+// respondJob renders a job as status: a synchronous waiter passes the
+// answered verdict, a poll the job's committed status. The job's trace
+// ID is returned in X-Soteria-Trace; when the job asked for timings,
+// each record in the response carries the span tree on a per-response
+// copy (never the stored record — timing data is run-varying and must
+// stay out of the content-addressed bytes).
+func respondJob(w http.ResponseWriter, code int, j *job, status jobStatus) {
+	_, results, elapsed := j.snapshot()
 	if j.trace != "" {
 		w.Header().Set(TraceHeader, j.trace)
 	}
@@ -278,17 +278,29 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 			// without re-running the analysis, in-flight ones a poll
 			// handle.
 			s.idemHits.Add(1)
+			select {
+			case <-prev.ready:
+				// Answered and committing: the commit is brief, and a
+				// resubmission reports done only once it is over.
+				select {
+				case <-prev.done:
+				case <-r.Context().Done():
+					return
+				}
+			default:
+			}
 			code := http.StatusOK
-			if st, _, _ := prev.snapshot(); st != statusDone && st != statusFailed {
+			st, _, _ := prev.snapshot()
+			if st != statusDone && st != statusFailed {
 				code = http.StatusAccepted
 			}
-			respondJob(w, code, prev)
+			respondJob(w, code, prev, st)
 			return
 		}
 	}
 	if s.finishFromStore(j) {
 		s.registerJob(j)
-		respondJob(w, http.StatusOK, j)
+		respondJob(w, http.StatusOK, j, statusDone)
 		return
 	}
 	if s.maybeRoute(w, r, j) {
@@ -315,16 +327,19 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 		return
 	}
 	if j.async {
-		respondJob(w, http.StatusAccepted, j)
+		respondJob(w, http.StatusAccepted, j, statusQueued)
 		return
 	}
 	select {
-	case <-j.done:
+	case <-j.ready:
+		// The verdict is ready; the worker commits it after this
+		// response (runJob).
 		code := http.StatusOK
-		if st, _, _ := j.snapshot(); st == statusFailed {
+		st := j.answered()
+		if st == statusFailed {
 			code = http.StatusUnprocessableEntity
 		}
-		respondJob(w, code, j)
+		respondJob(w, code, j, st)
 	case <-r.Context().Done():
 		// Client gone; the job keeps running and lands in the store,
 		// so a retried request becomes a cache hit.
@@ -332,9 +347,10 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 }
 
 // finishFromStore serves a whole job from this node's store, before
-// any analysis or forward. All items must hit; a partial hit set still
-// queues the job (the worker serves the stored items from the store
-// and analyzes the rest).
+// any analysis or forward. It looks every item up once and keeps the
+// outcome in the job; a partial hit set still queues the job, and the
+// worker serves the stored items from these lookups and analyzes the
+// rest.
 func (s *Server) finishFromStore(j *job) bool {
 	if s.cfg.Store == nil {
 		return false
@@ -342,24 +358,24 @@ func (s *Server) finishFromStore(j *job) bool {
 	root := obs.NewRoot("job")
 	root.Set("trace", j.trace)
 	root.Set("cached", "true")
+	keys := j.storeKeys()
+	j.found = make([]*report.Record, len(j.items))
+	hit := true
+	for i := range j.items {
+		rec, ok := s.cfg.Store.Get(keys[i])
+		j.found[i] = rec
+		hit = hit && ok
+	}
+	if !hit {
+		return false
+	}
 	results := make([]itemResult, len(j.items))
 	for i, it := range j.items {
-		key := core.AnalysisKey(it.Sources, j.opts)
-		rec, ok := s.cfg.Store.Get(key)
-		if !ok {
-			return false
-		}
-		results[i] = itemResult{Key: it.Key, StoreKey: key, Cached: true, Record: rec}
+		results[i] = itemResult{Key: it.Key, StoreKey: keys[i], Cached: true, Record: j.found[i]}
 	}
 	s.jobsDone.Add(1)
 	root.End()
-	j.mu.Lock()
-	j.status = statusDone
-	j.results = results
-	j.elapsed = root.Duration()
-	j.span = root
-	j.mu.Unlock()
-	close(j.done)
+	j.finish(statusDone, results, root.Duration(), root)
 	s.jobLatency.Observe(root.Duration())
 	return true
 }
@@ -371,7 +387,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	respondJob(w, http.StatusOK, j)
+	st, _, _ := j.snapshot()
+	respondJob(w, http.StatusOK, j, st)
 }
 
 // handleResult serves GET /v1/results/{hash} from this node's store

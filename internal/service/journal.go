@@ -17,13 +17,17 @@ import (
 )
 
 // The job journal is soteriad's write-ahead log of job lifecycle
-// events. Every accepted job is appended (and fsynced) before the
-// client sees its acknowledgment, so a crash — SIGKILL, OOM, power
-// cut — can lose only work the client was never told was accepted.
-// On restart the journal is replayed: incomplete jobs re-enqueue with
-// their original IDs, terminal jobs rebuild the /v1/jobs table, and
-// client-supplied idempotency keys keep resubmissions from running
-// twice.
+// events. Every accepted job is appended and fsynced before the client
+// sees its acknowledgment, so a crash — SIGKILL, OOM, power cut — can
+// lose only work the client was never told was accepted. Terminal
+// entries are appended after the job's records are in the store, but
+// without an fsync of their own: the next accepted entry's group
+// commit, or close, makes them durable. A crash can therefore lose a
+// terminal entry, which only makes replay run the job again (a store
+// hit when a store is configured). On restart the journal is replayed:
+// incomplete jobs re-enqueue with their original IDs, terminal jobs
+// rebuild the /v1/jobs table, and client-supplied idempotency keys
+// keep resubmissions from running twice.
 //
 // Wire format — one entry per line:
 //
@@ -84,10 +88,14 @@ type journalOptions struct {
 	MaxFormulaDepth int      `json:"max_formula_depth,omitempty"`
 }
 
+// journalResult is one item of a terminal entry. Stored marks a
+// complete record, which the store must hold under StoreKey: replay
+// re-runs a job whose stored record does not read back.
 type journalResult struct {
 	Key      string `json:"key,omitempty"`
 	StoreKey string `json:"store_key,omitempty"`
 	Cached   bool   `json:"cached,omitempty"`
+	Stored   bool   `json:"stored,omitempty"`
 	Err      string `json:"err,omitempty"`
 }
 
@@ -156,6 +164,7 @@ func jobFromAccepted(ev journalEvent) *job {
 		async:   true,
 		opts:    ev.Opts.core(),
 		status:  statusQueued,
+		ready:   make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	for _, it := range ev.Items {
@@ -324,24 +333,41 @@ func (j *journal) append(ev journalEvent) error {
 	if j == nil {
 		return nil
 	}
-	line, err := encodeEntry(ev)
+	target, err := j.write(ev)
 	if err != nil {
 		return err
 	}
+	return j.syncTo(target)
+}
+
+// appendUnsynced writes one event without waiting for an fsync; the
+// next group commit or close covers it. Only entries whose loss replay
+// tolerates may take this path.
+func (j *journal) appendUnsynced(ev journalEvent) error {
+	if j == nil {
+		return nil
+	}
+	_, err := j.write(ev)
+	return err
+}
+
+// write appends one encoded event and returns its write sequence.
+func (j *journal) write(ev journalEvent) (uint64, error) {
+	line, err := encodeEntry(ev)
+	if err != nil {
+		return 0, err
+	}
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.f == nil {
-		j.mu.Unlock()
-		return fmt.Errorf("journal: closed")
+		return 0, fmt.Errorf("journal: closed")
 	}
 	if _, err := j.f.Write(line); err != nil {
-		j.mu.Unlock()
-		return fmt.Errorf("journal: append: %w", err)
+		return 0, fmt.Errorf("journal: append: %w", err)
 	}
 	j.writeSeq++
-	target := j.writeSeq
-	j.mu.Unlock()
 	j.stats.appends.Add(1)
-	return j.syncTo(target)
+	return j.writeSeq, nil
 }
 
 // syncTo ensures an fsync has covered write sequence target.

@@ -13,8 +13,8 @@ import (
 // Gauges come from the guard instrumentation; counters from the job
 // table, the persistent store (soteriad's only result cache), and the
 // memo totals aggregated from job span trees; histograms are the obs
-// latency families (job end-to-end, queue wait, per-phase,
-// per-property engine check). The exposition-format test validates
+// latency families (job up to its response, the commit after it, queue
+// wait, per-phase, per-property engine check). The exposition-format test validates
 // the output with obs.ValidateExposition, and the smoke script
 // re-validates it against a live daemon.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -74,8 +74,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	obs.WriteHistogramProm(&b, "soteriad_job_seconds",
-		"End-to-end job latency (queue wait excluded for cache-served jobs).",
+		"Job latency up to its response (queue wait excluded for cache-served jobs; the commit after the response excluded).",
 		obs.Series{H: s.jobLatency})
+	obs.WriteHistogramProm(&b, "soteriad_commit_seconds",
+		"Post-response commit of analyzed jobs: store writes plus the terminal journal append.",
+		obs.Series{H: s.commitLatency})
 	obs.WriteHistogramProm(&b, "soteriad_queue_wait_seconds",
 		"Time jobs spent queued before a worker picked them up.",
 		obs.Series{H: s.queueWait})

@@ -11,7 +11,6 @@ import (
 
 	"github.com/soteria-analysis/soteria/internal/client"
 	"github.com/soteria-analysis/soteria/internal/cluster"
-	"github.com/soteria-analysis/soteria/internal/core"
 )
 
 // ForwardedHeader marks a request that already crossed one routing hop
@@ -37,8 +36,8 @@ func (s *Server) maybeRoute(w http.ResponseWriter, r *http.Request, j *job) bool
 	}
 	owners := make([]string, len(j.items))
 	allLocal := true
-	for i, it := range j.items {
-		owners[i] = cl.Owner(core.AnalysisKey(it.Sources, j.opts))
+	for i, key := range j.storeKeys() {
+		owners[i] = cl.Owner(key)
 		if owners[i] != cl.Self() {
 			allLocal = false
 		}
@@ -79,7 +78,7 @@ func (s *Server) routeSingle(w http.ResponseWriter, r *http.Request, j *job, own
 	if status == statusFailed {
 		code = http.StatusUnprocessableEntity
 	}
-	respondJob(w, code, j)
+	respondJob(w, code, j, status)
 	return true
 }
 
@@ -133,7 +132,7 @@ func (s *Server) routeBatch(w http.ResponseWriter, r *http.Request, j *job, owne
 		s.runLocalSub(j, localIdx, results)
 	}
 	s.finishRouted(j, statusDone, results, time.Since(start))
-	respondJob(w, http.StatusOK, j)
+	respondJob(w, http.StatusOK, j, statusDone)
 	return true
 }
 
@@ -198,10 +197,13 @@ func (s *Server) runLocalSub(j *job, idx []int, results []itemResult) {
 		batch: true,
 		opts:  j.opts,
 		trace: j.trace,
+		ready: make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	keys := j.storeKeys()
 	for _, i := range idx {
 		sub.items = append(sub.items, j.items[i])
+		sub.keys = append(sub.keys, keys[i])
 	}
 	fail := func(msg string) {
 		for _, i := range idx {
@@ -221,7 +223,7 @@ func (s *Server) runLocalSub(j *job, idx []int, results []itemResult) {
 			fail(err.Error())
 			return
 		}
-		<-sub.done
+		<-sub.ready
 	}
 	_, subResults, _ := sub.snapshot()
 	for n, i := range idx {
@@ -246,12 +248,7 @@ func (s *Server) finishRouted(j *job, status jobStatus, results []itemResult, el
 	// return; there is no meaningful single span tree for a federated
 	// job, so the origin never overlays one.
 	j.timings = false
-	j.mu.Lock()
-	j.status = status
-	j.results = results
-	j.elapsed = elapsed
-	j.mu.Unlock()
-	close(j.done)
+	j.finish(status, results, elapsed, nil)
 	s.registerJob(j)
 	s.logger.Info("job federated",
 		"job", j.id, "trace", j.trace, "status", string(status),

@@ -17,7 +17,11 @@
 //	                   worker pool (guard budgets, panic isolation)
 //	                                      │
 //	                                      ▼
-//	                      local store write ──▶ 200 / 202+poll
+//	                 record staged in the store's memory front
+//	                                      │
+//	                                      ▼
+//	             200 to a sync waiter, then commit: store write and
+//	             terminal journal entry; polls read done after both
 //
 // Every analysis runs inside the resilience layer of PR 1 — resource
 // budgets, cooperative cancellation, recovery boundaries — so a
@@ -163,6 +167,12 @@ type job struct {
 	async   bool
 	items   []core.BatchItem
 	opts    core.Options
+	// keys are the items' content addresses, computed once (storeKeys).
+	keys []string
+	// found holds the handler's store lookup of each item (nil = miss),
+	// nil when the handler looked nothing up: the worker then needs only
+	// a memory-front re-check for the misses.
+	found []*report.Record
 	// trace is the job's trace ID: adopted from a valid X-Soteria-Trace
 	// request header or minted at submission, then stamped on every log
 	// line, response header, and journal entry. Written once before the
@@ -182,14 +192,59 @@ type job struct {
 	// queuedAt feeds the queue-wait histogram (zero = not queued).
 	queuedAt time.Time
 
-	done chan struct{} // closed on completion
+	// ready is closed once the verdict is known (verdict, results,
+	// elapsed and span set): a synchronous waiter answers then. done is
+	// closed once it is committed — records written, terminal entry
+	// appended — and status turns terminal with it, so a poll or an
+	// idempotent resubmission that reads done means the records are on
+	// disk.
+	ready, done chan struct{}
 
 	mu      sync.Mutex
 	status  jobStatus
+	verdict jobStatus
 	results []itemResult
 	elapsed time.Duration
-	// span is the job's completed trace tree (nil until terminal).
+	// span is the job's completed trace tree (nil until answered).
 	span *obs.Span
+}
+
+// storeKeys returns the items' content addresses, hashing the sources
+// on first use only.
+func (j *job) storeKeys() []string {
+	if j.keys == nil {
+		j.keys = make([]string, len(j.items))
+		for i, it := range j.items {
+			j.keys[i] = core.AnalysisKey(it.Sources, j.opts)
+		}
+	}
+	return j.keys
+}
+
+// answer publishes the job's verdict to its synchronous waiter.
+func (j *job) answer(status jobStatus, results []itemResult, elapsed time.Duration, span *obs.Span) {
+	j.mu.Lock()
+	j.verdict = status
+	j.results = results
+	j.elapsed = elapsed
+	j.span = span
+	j.mu.Unlock()
+	close(j.ready)
+}
+
+// settle marks an answered job committed: its status turns terminal
+// for polls and resubmissions.
+func (j *job) settle() {
+	j.mu.Lock()
+	j.status = j.verdict
+	j.mu.Unlock()
+	close(j.done)
+}
+
+// finish answers and settles a job at once: it has nothing to commit.
+func (j *job) finish(status jobStatus, results []itemResult, elapsed time.Duration, span *obs.Span) {
+	j.answer(status, results, elapsed, span)
+	j.settle()
 }
 
 func (j *job) setStatus(s jobStatus) {
@@ -203,6 +258,14 @@ func (j *job) snapshot() (jobStatus, []itemResult, time.Duration) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.status, j.results, j.elapsed
+}
+
+// answered returns the verdict a synchronous waiter reports, valid
+// once ready is closed.
+func (j *job) answered() jobStatus {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.verdict
 }
 
 // spanTree returns the job's completed trace tree (nil until terminal).
@@ -240,15 +303,16 @@ type Server struct {
 	// Restart-recovery and idempotency counters for /metrics.
 	jobsReplayed, jobsReenqueued, idemHits, journalDupKeys atomic.Int64
 
-	// Latency histograms (log-spaced buckets, atomic): job end-to-end
-	// wall time, queue wait at worker pickup, per-phase durations, and
-	// the explicit engine's per-property check durations. The phase map
-	// is built once in New and read-only after, so workers index it
-	// without a lock.
-	jobLatency *obs.Histogram
-	queueWait  *obs.Histogram
-	phaseHist  map[string]*obs.Histogram
-	engineHist *obs.Histogram
+	// Latency histograms (log-spaced buckets, atomic): job wall time up
+	// to its response, the commit after it, queue wait at worker pickup,
+	// per-phase durations, and the explicit engine's per-property check
+	// durations. The phase map is built once in New and read-only after,
+	// so workers index it without a lock.
+	jobLatency    *obs.Histogram
+	commitLatency *obs.Histogram
+	queueWait     *obs.Histogram
+	phaseHist     map[string]*obs.Histogram
+	engineHist    *obs.Histogram
 
 	// Memo counters aggregated from job span trees, surfaced on
 	// /metrics.
@@ -285,18 +349,19 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		logger:     cfg.Logger,
-		baseCtx:    ctx,
-		cancel:     cancel,
-		jobs:       map[string]*job{},
-		jobOrder:   list.New(),
-		idem:       map[string]*job{},
-		started:    time.Now(),
-		jobLatency: obs.NewHistogram(obs.DefaultLatencyBounds()),
-		queueWait:  obs.NewHistogram(obs.DefaultLatencyBounds()),
-		phaseHist:  map[string]*obs.Histogram{},
-		engineHist: obs.NewHistogram(obs.DefaultLatencyBounds()),
+		cfg:           cfg,
+		logger:        cfg.Logger,
+		baseCtx:       ctx,
+		cancel:        cancel,
+		jobs:          map[string]*job{},
+		jobOrder:      list.New(),
+		idem:          map[string]*job{},
+		started:       time.Now(),
+		jobLatency:    obs.NewHistogram(obs.DefaultLatencyBounds()),
+		commitLatency: obs.NewHistogram(obs.DefaultLatencyBounds()),
+		queueWait:     obs.NewHistogram(obs.DefaultLatencyBounds()),
+		phaseHist:     map[string]*obs.Histogram{},
+		engineHist:    obs.NewHistogram(obs.DefaultLatencyBounds()),
 	}
 	for _, p := range phaseNames {
 		s.phaseHist[p] = obs.NewHistogram(obs.DefaultLatencyBounds())
@@ -360,10 +425,14 @@ type replayOutcome struct {
 }
 
 // replayEvents folds journal events into jobs. Terminal results are
-// read back from the local store when it still holds the record (the
-// node that ran a job wrote its record here). A missing record leaves
-// the result's store key and status; the verdict bytes are
-// re-derivable by resubmission.
+// read back from the local store (the node that ran a job wrote its
+// record here). A terminal entry that vouches for a stored record the
+// store does not hold soundly — a memory-front hit journaled before
+// the owning job committed, or a record whose best-effort directory
+// sync failed before a crash — does not end its job: the job re-runs
+// if its accepted entry still carries the sources. Otherwise a missing
+// record leaves the result's store key and status; the verdict bytes
+// are re-derivable by resubmission.
 func replayEvents(events []journalEvent, st *store.Store) replayOutcome {
 	out := replayOutcome{idem: map[string]*job{}}
 	byID := map[string]*job{}
@@ -402,7 +471,7 @@ func replayEvents(events []journalEvent, st *store.Store) replayOutcome {
 				// Surface the terminal state; there is nothing to re-run.
 				j = &job{
 					id: ev.Job, idemKey: ev.Idem, batch: ev.Batch, trace: ev.Trace,
-					async: true, done: make(chan struct{}),
+					async: true, ready: make(chan struct{}), done: make(chan struct{}),
 				}
 				byID[ev.Job] = j
 				out.jobs = append(out.jobs, j)
@@ -413,21 +482,27 @@ func replayEvents(events []journalEvent, st *store.Store) replayOutcome {
 			if j.status == statusDone || j.status == statusFailed {
 				continue // duplicate terminal entry
 			}
-			j.status = statusDone
-			if ev.Op == opFailed {
-				j.status = statusFailed
-			}
-			j.elapsed = time.Duration(ev.ElapsedMS) * time.Millisecond
+			results := make([]itemResult, 0, len(ev.Results))
+			lost := false
 			for _, r := range ev.Results {
 				ir := itemResult{Key: r.Key, StoreKey: r.StoreKey, Cached: r.Cached, Err: r.Err}
 				if r.Err == "" && r.StoreKey != "" {
 					if rec, ok := st.Get(r.StoreKey); ok {
 						ir.Record = rec
+					} else if r.Stored && st != nil {
+						lost = true
 					}
 				}
-				j.results = append(j.results, ir)
+				results = append(results, ir)
 			}
-			close(j.done)
+			if lost && len(j.items) > 0 {
+				continue // left queued: it runs again
+			}
+			status := statusDone
+			if ev.Op == opFailed {
+				status = statusFailed
+			}
+			j.finish(status, results, time.Duration(ev.ElapsedMS)*time.Millisecond, nil)
 		}
 	}
 	kept := out.jobs[:0]
@@ -476,6 +551,7 @@ func terminalEvent(j *job, status jobStatus, results []itemResult, elapsed time.
 	for _, r := range results {
 		ev.Results = append(ev.Results, journalResult{
 			Key: r.Key, StoreKey: r.StoreKey, Cached: r.Cached, Err: r.Err,
+			Stored: r.Record != nil && !r.Record.Incomplete,
 		})
 	}
 	return ev
@@ -590,14 +666,30 @@ func (s *Server) worker() {
 // runJob executes a job under its deadline. The pipeline's own
 // recovery boundaries contain panics and budget exhaustion per item;
 // anything that still escapes is a per-item Err, never a dead worker.
+//
+// Order, and what a crash at each point leaves (DESIGN §4g):
+//
+//  1. Each complete record is staged in the store's memory front,
+//     where Get sees it, so a repeated request is a pure store read.
+//  2. The synchronous waiter is answered. A crash from here until step
+//     3 lands loses the staged records and the job has no terminal
+//     entry: replay runs it again from its fsynced accepted entry and
+//     rebuilds the same bytes.
+//  3. commit: every record is written with the store's atomic protocol,
+//     then the terminal entry is appended without an fsync of its own.
+//     A crash that loses the entry re-runs the job (a store hit).
+//  4. The job settles: polls, resubmissions and done report terminal,
+//     and only now, so a poll that reads done means the records are on
+//     disk.
 func (s *Server) runJob(j *job) {
 	j.setStatus(statusRunning)
 	if hook := testHookJobRunning.Load(); hook != nil {
 		(*hook)(j)
 	}
-	// The root span IS the job's wall clock: elapsed is read from it,
-	// so the timing tree's root duration and the job's elapsed_ms are
-	// the same measurement.
+	// The root span IS the job's wall clock up to its answer: elapsed is
+	// read from it, so the timing tree's root duration and the job's
+	// elapsed_ms are the same measurement. The commit after the answer
+	// has its own span.
 	root := obs.NewRoot("job")
 	root.Set("trace", j.trace)
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
@@ -605,18 +697,18 @@ func (s *Server) runJob(j *job) {
 	ctx = obs.WithSpan(ctx, root)
 
 	// The result store is the only cache: a hit serves the stored
-	// record as it is; a miss runs the pipeline and commits its record
-	// before the terminal journal entry below.
+	// record as it is; a miss runs the pipeline and stages its record.
 	bo := core.BatchOptions{
 		Options:  j.opts,
 		Parallel: 1, // items of one job run sequentially; jobs are the unit of concurrency
 	}
+	keys := j.storeKeys()
 	out := make([]itemResult, len(j.items))
+	var staged []int // items whose records the commit writes
 	failed := false
 	for i, it := range j.items {
-		key := core.AnalysisKey(it.Sources, j.opts)
-		out[i] = itemResult{Key: it.Key, StoreKey: key}
-		if rec, ok := s.cfg.Store.Get(key); ok {
+		out[i] = itemResult{Key: it.Key, StoreKey: keys[i]}
+		if rec, ok := s.lookup(j, i); ok {
 			out[i].Cached, out[i].Record = true, rec
 			continue
 		}
@@ -628,8 +720,8 @@ func (s *Server) runJob(j *job) {
 		}
 		out[i].Record = report.FromAnalysis(r.Analysis)
 		if !r.Analysis.Incomplete {
-			// Best-effort: a failed write degrades reuse, not the job.
-			_ = s.cfg.Store.Put(key, out[i].Record)
+			s.cfg.Store.Stage(keys[i], out[i].Record)
+			staged = append(staged, i)
 		}
 	}
 
@@ -649,30 +741,17 @@ func (s *Server) runJob(j *job) {
 	root.Set("status", string(status))
 	root.End()
 	elapsed := root.Duration()
-	// Everything /metrics reports about this job lands before close
-	// publishes its response, so a client that scrapes after reading
-	// its result always sees its own job counted.
+	// Everything /metrics reports about the job's analysis lands before
+	// its answer, so a client that scrapes after reading its result
+	// always sees its own job counted.
 	s.recordTelemetry(root)
 	slow := s.cfg.SlowJobThreshold > 0 && elapsed >= s.cfg.SlowJobThreshold
 	if slow {
 		s.slowJobs.Add(1)
 	}
-	j.mu.Lock()
-	j.status = status
-	j.results = out
-	j.elapsed = elapsed
-	j.span = root
-	j.mu.Unlock()
-	close(j.done)
-	// Only the terminal journal entry and the log lines may lag the
-	// response; the API reads neither. The terminal entry is appended
-	// after the results landed in the store, so replay never sees
-	// "done" without its record bytes. A crash before it lands, or a
-	// failed append, only makes replay re-run the job (a store hit
-	// when a store is configured).
-	if err := s.journal.append(terminalEvent(j, status, out, elapsed)); err != nil {
-		s.logger.Error("journal terminal append failed", "job", j.id, "trace", j.trace, "error", err)
-	}
+	j.answer(status, out, elapsed, root)
+	s.commit(j, status, out, staged, elapsed)
+	j.settle()
 	s.logger.Info("job finished",
 		"job", j.id, "trace", j.trace, "status", string(status),
 		"elapsed_ms", elapsed.Milliseconds(), "items", len(j.items))
@@ -682,6 +761,41 @@ func (s *Server) runJob(j *job) {
 			"threshold_ms", s.cfg.SlowJobThreshold.Milliseconds(),
 			"spans", "\n"+root.Render())
 	}
+}
+
+// lookup finds item i of j in the store. An item the handler already
+// looked up costs no second disk read or miss: its hit is reused, and
+// its miss is re-checked in the memory front only, where a concurrent
+// duplicate stages its record before committing it.
+func (s *Server) lookup(j *job, i int) (*report.Record, bool) {
+	if j.found == nil {
+		return s.cfg.Store.Get(j.keys[i])
+	}
+	if rec := j.found[i]; rec != nil {
+		return rec, true
+	}
+	return s.cfg.Store.Peek(j.keys[i])
+}
+
+// commit makes an answered job's outcome durable, in its own "commit"
+// span: each staged record is written to the store (best-effort: a
+// failed write degrades reuse, not the job), then the terminal entry is
+// appended for the next group commit to sync.
+func (s *Server) commit(j *job, status jobStatus, out []itemResult, staged []int, elapsed time.Duration) {
+	span := obs.NewRoot("commit")
+	span.Set("trace", j.trace)
+	put := span.StartChild("store.put")
+	for _, i := range staged {
+		_ = s.cfg.Store.Put(out[i].StoreKey, out[i].Record)
+	}
+	put.End()
+	appendSpan := span.StartChild("journal.append")
+	if err := s.journal.appendUnsynced(terminalEvent(j, status, out, elapsed)); err != nil {
+		s.logger.Error("journal terminal append failed", "job", j.id, "trace", j.trace, "error", err)
+	}
+	appendSpan.End()
+	span.End()
+	s.commitLatency.Observe(span.Duration())
 }
 
 // recordTelemetry folds one completed job's span tree into the

@@ -76,6 +76,7 @@ func TestMetricsExposition(t *testing.T) {
 		"soteriad_journal_dup_keys_total",
 		// Latency histograms.
 		"soteriad_job_seconds_bucket",
+		"soteriad_commit_seconds_bucket",
 		`soteriad_queue_wait_seconds_bucket`,
 		`soteriad_phase_seconds_bucket{phase="statemodel",`,
 		`soteriad_phase_seconds_bucket{phase="check",`,
@@ -110,6 +111,22 @@ func TestMetricsExposition(t *testing.T) {
 	// The sweep ran: the explicit engine's memo saw lookups.
 	if v := sampleValue(t, text, "soteriad_memo_lookups_total"); v < 1 {
 		t.Fatalf("soteriad_memo_lookups_total = %v, want >= 1", v)
+	}
+
+	// The commit follows the response; once a poll reads done it has
+	// been observed.
+	waitJobStatus(t, ts.URL, body["job_id"].(string), "done")
+	mresp2, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer mresp2.Body.Close()
+	data2, err := io.ReadAll(mresp2.Body)
+	if err != nil {
+		t.Fatalf("reading /metrics: %v", err)
+	}
+	if v := sampleValue(t, string(data2), "soteriad_commit_seconds_count"); v < 1 {
+		t.Fatalf("soteriad_commit_seconds_count = %v, want >= 1", v)
 	}
 }
 

@@ -314,6 +314,38 @@ func (s *Store) Get(key string) (*report.Record, bool) {
 	return rec, true
 }
 
+// Peek returns the record under key if the memory front holds it,
+// without reading the disk or counting a miss: a re-check for a key
+// whose miss the caller already counted.
+func (s *Store) Peek(key string) (*report.Record, bool) {
+	if s == nil {
+		return nil, false
+	}
+	s.mu.Lock()
+	el, ok := s.mem[key]
+	var rec *report.Record
+	if ok {
+		s.lru.MoveToFront(el)
+		rec = el.Value.(*memEntry).rec
+	}
+	s.mu.Unlock()
+	if ok {
+		s.hits.mem.Add(1)
+	}
+	return rec, ok
+}
+
+// Stage puts a complete record into the memory front, where Get sees
+// it, ahead of the Put that writes it to disk. A crash before that Put
+// loses the staged record; callers that answer from it must be able to
+// re-derive it (soteriad re-runs the job from its journal).
+func (s *Store) Stage(key string, rec *report.Record) {
+	if s == nil || !validKey(key) {
+		return
+	}
+	s.promote(key, rec)
+}
+
 // Put stores a record under key with the full crash-consistency
 // protocol: checksummed frame → temp file → fsync → rename → directory
 // fsync — then promotion into the LRU front.
