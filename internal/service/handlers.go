@@ -327,7 +327,8 @@ func (s *Server) finishOrQueue(w http.ResponseWriter, r *http.Request, j *job) {
 		return
 	}
 	if j.async {
-		respondJob(w, http.StatusAccepted, j, statusQueued)
+		st, _, _ := j.snapshot()
+		respondJob(w, http.StatusAccepted, j, st)
 		return
 	}
 	select {

@@ -783,17 +783,12 @@ func (s *Server) lookup(j *job, i int) (*report.Record, bool) {
 // appended for the next group commit to sync.
 func (s *Server) commit(j *job, status jobStatus, out []itemResult, staged []int, elapsed time.Duration) {
 	span := obs.NewRoot("commit")
-	span.Set("trace", j.trace)
-	put := span.StartChild("store.put")
 	for _, i := range staged {
 		_ = s.cfg.Store.Put(out[i].StoreKey, out[i].Record)
 	}
-	put.End()
-	appendSpan := span.StartChild("journal.append")
 	if err := s.journal.appendUnsynced(terminalEvent(j, status, out, elapsed)); err != nil {
 		s.logger.Error("journal terminal append failed", "job", j.id, "trace", j.trace, "error", err)
 	}
-	appendSpan.End()
 	span.End()
 	s.commitLatency.Observe(span.Duration())
 }
