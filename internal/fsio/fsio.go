@@ -7,10 +7,13 @@
 //   - tests run on Faulty, which consults the faultinject error sites
 //     (fsio.create/write/sync/rename/syncdir) to simulate short
 //     writes, fsync failures, and crashed renames at exact protocol
-//     steps, and
+//     steps,
 //   - the kill-restart chaos harness runs soteriad on Chaos, which
 //     stretches every write into small chunks with scheduling yields
-//     so a SIGKILL lands mid-write with useful probability.
+//     so a SIGKILL lands mid-write with useful probability, and
+//   - the crash model runs the service on Mem, which tracks what is
+//     durable and lists the states a crash at each operation can leave
+//     on disk, so a missing fsync fails a test.
 //
 // The interface is deliberately narrow: just the operations the
 // crash-consistency protocols need (temp-file create, append-open,

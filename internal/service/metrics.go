@@ -13,10 +13,11 @@ import (
 // Gauges come from the guard instrumentation; counters from the job
 // table, the persistent store (soteriad's only result cache), and the
 // memo totals aggregated from job span trees; histograms are the obs
-// latency families (job up to its response, the commit after it, queue
-// wait, per-phase, per-property engine check). The exposition-format test validates
-// the output with obs.ValidateExposition, and the smoke script
-// re-validates it against a live daemon.
+// latency families (job up to its response, the commit after it,
+// queue wait, per-phase, per-property engine check). The
+// exposition-format test validates the output with
+// obs.ValidateExposition, and the smoke script re-validates it against
+// a live daemon.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	gauge := func(name, help string, v int64) {

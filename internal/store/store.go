@@ -286,15 +286,9 @@ func (s *Store) Get(key string) (*report.Record, bool) {
 		s.countMiss()
 		return nil, false
 	}
-	s.mu.Lock()
-	if el, ok := s.mem[key]; ok {
-		s.lru.MoveToFront(el)
-		rec := el.Value.(*memEntry).rec
-		s.mu.Unlock()
-		s.hits.mem.Add(1)
+	if rec, ok := s.Peek(key); ok {
 		return rec, true
 	}
-	s.mu.Unlock()
 
 	data, err := s.fs.ReadFile(s.path(key))
 	if err != nil {
