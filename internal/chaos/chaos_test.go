@@ -18,6 +18,7 @@ import (
 	"github.com/soteria-analysis/soteria/internal/core"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
 	"github.com/soteria-analysis/soteria/internal/report"
+	"github.com/soteria-analysis/soteria/internal/store"
 )
 
 // buildOnce compiles the real soteriad binary one time per test run.
@@ -325,16 +326,21 @@ func TestKillMidWriteServesNoTornRecord(t *testing.T) {
 		t.Fatalf("re-analysis after mid-write crash: %+v", again)
 	}
 
-	// The store never serves garbage: any surviving temp files are
-	// gone and torn records live in quarantine/, not the store root.
-	storeDir := filepath.Join(stateDir, "store")
-	entries, err := os.ReadDir(storeDir)
+	// The store never serves garbage: once the restarted daemon stops,
+	// every record its log indexes reads back soundly.
+	d2.kill()
+	st, err := store.Open(filepath.Join(stateDir, "store"), store.Options{})
 	if err != nil {
-		t.Fatalf("reading store: %v", err)
+		t.Fatalf("reopening store: %v", err)
 	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".tmp-") {
-			t.Fatalf("orphan temp file survived recovery: %s", e.Name())
+	defer st.Close()
+	keys := st.Keys()
+	if len(keys) == 0 {
+		t.Fatalf("store indexes no record after a done job")
+	}
+	for _, key := range keys {
+		if rec, ok := st.Get(key); !ok || rec.Schema != report.Schema {
+			t.Fatalf("store keeps unsound record %s: %+v", key, rec)
 		}
 	}
 }

@@ -17,7 +17,9 @@
 //
 // The interface is deliberately narrow: just the operations the
 // crash-consistency protocols need (temp-file create, append-open,
-// write, fsync, rename, remove, directory fsync, reads).
+// write, fsync, truncate, rename, remove, directory fsync, reads).
+// Both on-disk logs, the journal and the result store, are a Log:
+// framed entries appended to one file under one group commit.
 package fsio
 
 import (
@@ -33,6 +35,7 @@ import (
 // protocols use.
 type File interface {
 	Write(p []byte) (int, error)
+	ReadAt(p []byte, off int64) (int, error)
 	Sync() error
 	Close() error
 	Name() string
@@ -45,7 +48,8 @@ type FS interface {
 	// CreateTemp creates a new temp file in dir (pattern as in
 	// os.CreateTemp).
 	CreateTemp(dir, pattern string) (File, error)
-	// OpenAppend opens name for appending, creating it if absent.
+	// OpenAppend opens name for reading and appending, creating it if
+	// absent.
 	OpenAppend(name string) (File, error)
 	// ReadFile reads the whole of name.
 	ReadFile(name string) ([]byte, error)
@@ -55,6 +59,9 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	// Remove deletes name.
 	Remove(name string) error
+	// Truncate cuts name to size bytes. Like a write, the cut is
+	// durable once the file is next fsynced.
+	Truncate(name string, size int64) error
 	// SyncDir fsyncs the directory itself, making a preceding rename
 	// or create durable.
 	SyncDir(dir string) error
@@ -105,13 +112,14 @@ func (OS) CreateTemp(dir, pattern string) (File, error) {
 }
 
 func (OS) OpenAppend(name string) (File, error) {
-	return os.OpenFile(name, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	return os.OpenFile(name, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
 }
 
 func (OS) ReadFile(name string) ([]byte, error)      { return os.ReadFile(name) }
 func (OS) ReadDir(dir string) ([]fs.DirEntry, error) { return os.ReadDir(dir) }
 func (OS) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
 func (OS) Remove(name string) error                  { return os.Remove(name) }
+func (OS) Truncate(name string, size int64) error    { return os.Truncate(name, size) }
 
 // SyncDir opens dir and fsyncs it. Some filesystems (and some
 // platforms) reject fsync on directories; that is indistinguishable
@@ -176,6 +184,8 @@ func (f Faulty) Rename(oldpath, newpath string) error {
 }
 
 func (f Faulty) Remove(name string) error { return f.Inner.Remove(name) }
+
+func (f Faulty) Truncate(name string, size int64) error { return f.Inner.Truncate(name, size) }
 
 func (f Faulty) SyncDir(dir string) error {
 	if err := faultinject.Err(faultinject.SiteFSSyncDir, base(dir)); err != nil {
@@ -250,6 +260,7 @@ func (c Chaos) ReadFile(name string) ([]byte, error)      { return c.Inner.ReadF
 func (c Chaos) ReadDir(dir string) ([]fs.DirEntry, error) { return c.Inner.ReadDir(dir) }
 func (c Chaos) Rename(oldpath, newpath string) error      { return c.Inner.Rename(oldpath, newpath) }
 func (c Chaos) Remove(name string) error                  { return c.Inner.Remove(name) }
+func (c Chaos) Truncate(name string, size int64) error    { return c.Inner.Truncate(name, size) }
 func (c Chaos) SyncDir(dir string) error                  { return c.Inner.SyncDir(dir) }
 
 type chaosFile struct {

@@ -2,6 +2,7 @@ package fsio
 
 import (
 	"fmt"
+	"io"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -14,7 +15,9 @@ import (
 // model ALICE (Pillai et al., "All File Systems Are Not Created Equal",
 // OSDI 2014) uses to find lost-fsync bugs:
 //
-//   - a file's bytes are durable up to its last Sync;
+//   - a file's bytes are durable as of its last Sync: writes and
+//     truncations since then are lost, or kept in order up to some
+//     point, a torn half-write included;
 //   - a create, rename or remove is durable once its parent directory
 //     is SyncDir'ed (a rename between directories needs both);
 //   - directories made by MkdirAll are durable at once.
@@ -78,9 +81,10 @@ func (m *Mem) Ops() int {
 
 // Crashes calls fn for k = 0 … Ops() with the distinct states a crash
 // after the first k logged operations can leave: the durable state,
-// plus a prefix of each file's unsynced writes (a torn half of the next
-// write included), plus a subset of each directory's unsynced namespace
-// operations (every subset of up to four, otherwise every prefix).
+// plus a prefix of each file's unsynced writes and truncations (a torn
+// half of the next write included), plus a subset of each directory's
+// unsynced namespace operations (every subset of up to four, otherwise
+// every prefix).
 // Choices combine fully up to maxFullProduct images; past that, fn
 // gets the all-lost and all-kept images and every single-choice
 // deviation from each. fn returning false stops the walk.
@@ -109,6 +113,7 @@ const (
 	opRename
 	opRemove
 	opSyncDir
+	opTruncate
 )
 
 // memOp is one logged mutation.
@@ -117,6 +122,7 @@ type memOp struct {
 	path, to string
 	ino      int
 	data     []byte
+	size     int // opTruncate
 }
 
 func (m *Mem) do(op memOp) {
@@ -231,6 +237,20 @@ func (m *Mem) Remove(name string) error {
 	return nil
 }
 
+func (m *Mem) Truncate(name string, size int64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ino, ok := m.st.live[filepath.Clean(name)]
+	if !ok {
+		return notExist("truncate", name)
+	}
+	if size < 0 {
+		return &fs.PathError{Op: "truncate", Path: name, Err: fs.ErrInvalid}
+	}
+	m.do(memOp{kind: opTruncate, ino: ino, size: int(size)})
+	return nil
+}
+
 func (m *Mem) SyncDir(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -261,6 +281,23 @@ func (f *memFile) Write(p []byte) (int, error) {
 		f.m.do(memOp{kind: opWrite, ino: f.ino, data: append([]byte(nil), p...)})
 	}
 	return len(p), nil
+}
+
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	f.m.mu.Lock()
+	defer f.m.mu.Unlock()
+	if f.closed {
+		return 0, fs.ErrClosed
+	}
+	data := f.m.st.inodes[f.ino].data
+	if off >= int64(len(data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 func (f *memFile) Sync() error {
@@ -306,12 +343,58 @@ func (e memEntry) Mode() fs.FileMode          { return e.Type() | 0o644 }
 func (e memEntry) ModTime() time.Time         { return time.Time{} }
 func (e memEntry) Sys() any                   { return nil }
 
-// memInode is one file's bytes: data[:synced] is durable, and cuts
-// holds the end offset of each write since the last Sync.
+// memInode is one file: data is what reads see, durable what a crash
+// keeps of it as of its last Sync, and pending the writes and
+// truncations (opWrite, opTruncate) since then, in order.
 type memInode struct {
-	data   []byte
-	synced int
-	cuts   []int
+	data    []byte
+	durable []byte
+	pending []memOp
+}
+
+// crashOptions counts the states a crash can leave the file in: all
+// pending operations lost, or kept up to each one in turn, with each
+// write also kept torn in half.
+func (in *memInode) crashOptions() int {
+	n := 1
+	for _, op := range in.pending {
+		if n++; op.kind == opWrite {
+			n++
+		}
+	}
+	return n
+}
+
+// crashBytes renders option o of crashOptions.
+func (in *memInode) crashBytes(o int) []byte {
+	if o == 0 {
+		return in.durable
+	}
+	out := append([]byte(nil), in.durable...)
+	for _, op := range in.pending {
+		if op.kind == opTruncate {
+			out = resize(out, op.size)
+			o--
+		} else if o == 1 {
+			return append(out, op.data[:len(op.data)/2]...)
+		} else {
+			out = append(out, op.data...)
+			o -= 2
+		}
+		if o == 0 {
+			break
+		}
+	}
+	return out
+}
+
+// resize cuts data to size bytes, or extends it with zeros, as
+// truncate(2) does.
+func resize(data []byte, size int) []byte {
+	if size <= len(data) {
+		return data[:size]
+	}
+	return append(data, make([]byte, size-len(data))...)
 }
 
 // nsOp is one unsynced namespace change in a directory: a create adds
@@ -354,13 +437,18 @@ func (s *memState) apply(op memOp) {
 		s.live[op.path] = op.ino
 		dir := filepath.Dir(op.path)
 		s.pending[dir] = append(s.pending[dir], nsOp{link: op.path, linkI: op.ino})
-	case opWrite:
+	case opWrite, opTruncate:
 		in := s.inodes[op.ino]
-		in.data = append(in.data, op.data...)
-		in.cuts = append(in.cuts, len(in.data))
+		if op.kind == opWrite {
+			in.data = append(in.data, op.data...)
+		} else {
+			// A fresh array: the old one may back a durable image.
+			in.data = resize(append([]byte(nil), in.data...), op.size)
+		}
+		in.pending = append(in.pending, op)
 	case opSync:
 		in := s.inodes[op.ino]
-		in.synced, in.cuts = len(in.data), nil
+		in.durable, in.pending = in.data[:len(in.data):len(in.data)], nil
 	case opRename:
 		ino := s.live[op.path]
 		delete(s.live, op.path)
@@ -400,7 +488,7 @@ const maxFullProduct = 64
 const maxSubsetOps = 4
 
 // crashChoice is one dimension of a crash: a directory's unsynced
-// namespace operations or a file's unsynced writes, with its options
+// namespace operations or a file's unsynced writes and truncations, with its options
 // ordered from "all lost" (0) to "all kept" (n-1).
 type crashChoice struct {
 	dir string // set for a directory choice
@@ -438,8 +526,8 @@ func (s *memState) crashImages() []Image {
 	}
 	sort.Ints(inos)
 	for _, ino := range inos {
-		if c := len(s.inodes[ino].cuts); c > 0 {
-			choices = append(choices, crashChoice{ino: ino, n: 2*c + 1})
+		if in := s.inodes[ino]; len(in.pending) > 0 {
+			choices = append(choices, crashChoice{ino: ino, n: in.crashOptions()})
 		}
 	}
 
@@ -530,22 +618,7 @@ func (s *memState) image(choices []crashChoice, pick []int) Image {
 	}
 	sort.Strings(img.Dirs)
 	for p, ino := range ns {
-		in := s.inodes[ino]
-		end := in.synced
-		if o, ok := keep[ino]; ok && o > 0 {
-			// Option 2w keeps w whole writes; 2w-1 keeps w-1 of them and
-			// the first half of the w-th, a torn write.
-			w := (o + 1) / 2
-			end = in.cuts[w-1]
-			if o%2 == 1 {
-				start := in.synced
-				if w > 1 {
-					start = in.cuts[w-2]
-				}
-				end = start + (end-start)/2
-			}
-		}
-		img.Files[p] = in.data[:end:end]
+		img.Files[p] = s.inodes[ino].crashBytes(keep[ino])
 	}
 	return img
 }

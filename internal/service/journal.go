@@ -5,10 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/soteria-analysis/soteria/internal/core"
@@ -38,9 +35,9 @@ import (
 // fails its checksum or does not parse — the classic torn-tail rule —
 // and the file is truncated back to the last good entry.
 //
-// Appends are fsync-batched (group commit): concurrent appenders pile
-// up behind one fsync, so a burst of accepted jobs costs one disk
-// flush, not one per job.
+// The file is an fsio.Log, so appends are fsync-batched (group
+// commit): concurrent appenders pile up behind one fsync, so a burst of
+// accepted jobs costs one disk flush, not one per job.
 
 // journalOp is a lifecycle event kind.
 const (
@@ -177,11 +174,6 @@ func jobFromAccepted(ev journalEvent) *job {
 	return j
 }
 
-// journalStats are the journal's monotonic counters for /metrics.
-type journalStats struct {
-	appends, syncs atomic.Int64
-}
-
 // replayStats describe what opening a journal found.
 type replayStats struct {
 	// Entries is the count of valid entries replayed.
@@ -194,23 +186,13 @@ type replayStats struct {
 // *journal is inert: appends succeed without doing anything, so a
 // journal-less configuration threads through unconditionally.
 type journal struct {
-	fs   fsio.FS
-	path string
-
-	mu       sync.Mutex // guards f and file writes
-	f        fsio.File
-	writeSeq uint64
-
-	syncMu    sync.Mutex // group commit: one fsync covers piled-up writes
-	syncedSeq uint64
-
-	stats  journalStats
+	log    *fsio.Log
 	replay replayStats
 }
 
 // openJournal opens (or creates) the journal at path, replays its
-// valid prefix, and truncates any torn tail. The returned events are
-// in append order.
+// valid prefix, and truncates any torn tail in place. The returned
+// events are in append order.
 func openJournal(path string, fsys fsio.FS) (*journal, []journalEvent, error) {
 	if fsys == nil {
 		fsys = fsio.OS{}
@@ -218,27 +200,18 @@ func openJournal(path string, fsys fsio.FS) (*journal, []journalEvent, error) {
 	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &journal{fs: fsys, path: path}
-
-	data, err := fsys.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("journal: reading %s: %w", path, err)
-	}
-	events, valid := parseJournal(data)
-	j.replay.Entries = len(events)
-	j.replay.TruncatedBytes = len(data) - valid
-	if j.replay.TruncatedBytes > 0 {
-		// Cut the torn tail by atomically rewriting the valid prefix —
-		// the same temp+rename+dir-sync protocol the store uses.
-		if err := j.writeWhole(data[:valid]); err != nil {
-			return nil, nil, err
-		}
-	}
-	f, err := fsys.OpenAppend(path)
+	var events []journalEvent
+	log, cut, err := fsio.OpenLog(fsys, path, func(data []byte) int {
+		var valid int
+		events, valid = parseJournal(data)
+		return valid
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j.f = f
+	j := &journal{log: log}
+	j.replay.Entries = len(events)
+	j.replay.TruncatedBytes = cut
 	return j, events, nil
 }
 
@@ -275,17 +248,10 @@ func parseJournal(data []byte) ([]journalEvent, int) {
 	return events, valid
 }
 
-// writeWhole atomically replaces the journal file's contents.
-func (j *journal) writeWhole(data []byte) error {
-	if err := fsio.WriteFileAtomic(j.fs, j.path, ".tmp-journal-*", data); err != nil {
-		return fmt.Errorf("journal: rewriting %s: %w", j.path, err)
-	}
-	return nil
-}
-
 // compact rewrites the journal to exactly the given events — called
 // after replay so completed history beyond the retention bound stops
-// accumulating — and reopens the append handle.
+// accumulating. An empty journal with nothing to keep, a first start,
+// is left as it is.
 func (j *journal) compact(events []journalEvent) error {
 	if j == nil {
 		return nil
@@ -298,19 +264,12 @@ func (j *journal) compact(events []journalEvent) error {
 		}
 		buf.Write(line)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f != nil {
-		j.f.Close()
+	if buf.Len() == 0 && j.log.Size() == 0 {
+		return nil
 	}
-	if err := j.writeWhole(buf.Bytes()); err != nil {
-		return err
-	}
-	f, err := j.fs.OpenAppend(j.path)
-	if err != nil {
+	if err := j.log.Rewrite(buf.Bytes()); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	j.f = f
 	return nil
 }
 
@@ -333,11 +292,14 @@ func (j *journal) append(ev journalEvent) error {
 	if j == nil {
 		return nil
 	}
-	target, err := j.write(ev)
+	seq, err := j.write(ev)
 	if err != nil {
 		return err
 	}
-	return j.syncTo(target)
+	if err := j.log.SyncTo(seq); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	return nil
 }
 
 // appendUnsynced writes one event without waiting for an fsync; the
@@ -357,39 +319,11 @@ func (j *journal) write(ev journalEvent) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return 0, fmt.Errorf("journal: closed")
+	_, seq, err := j.log.Append(line)
+	if err != nil {
+		return 0, fmt.Errorf("journal: %w", err)
 	}
-	if _, err := j.f.Write(line); err != nil {
-		return 0, fmt.Errorf("journal: append: %w", err)
-	}
-	j.writeSeq++
-	j.stats.appends.Add(1)
-	return j.writeSeq, nil
-}
-
-// syncTo ensures an fsync has covered write sequence target.
-func (j *journal) syncTo(target uint64) error {
-	j.syncMu.Lock()
-	defer j.syncMu.Unlock()
-	if j.syncedSeq >= target {
-		return nil // a piled-up appender's fsync already covered us
-	}
-	j.mu.Lock()
-	covered := j.writeSeq
-	f := j.f
-	j.mu.Unlock()
-	if f == nil {
-		return fmt.Errorf("journal: closed")
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync: %w", err)
-	}
-	j.stats.syncs.Add(1)
-	j.syncedSeq = covered
-	return nil
+	return seq, nil
 }
 
 // close syncs and closes the journal file.
@@ -397,16 +331,5 @@ func (j *journal) close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	serr := j.f.Sync()
-	cerr := j.f.Close()
-	j.f = nil
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return j.log.Close()
 }

@@ -45,8 +45,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("soteriad_jobs_reenqueued_total", "Replayed jobs re-enqueued because they never reached a terminal state.", s.jobsReenqueued.Load())
 	counter("soteriad_journal_dup_keys_total", "Duplicate idempotency keys collapsed during journal replay.", s.journalDupKeys.Load())
 	if s.journal != nil {
-		counter("soteriad_journal_appends_total", "Entries appended to the job journal.", s.journal.stats.appends.Load())
-		counter("soteriad_journal_syncs_total", "fsyncs issued by the job journal (group commit batches appends).", s.journal.stats.syncs.Load())
+		counter("soteriad_journal_appends_total", "Entries appended to the job journal.", s.journal.log.Appends())
+		counter("soteriad_journal_syncs_total", "fsyncs issued by the job journal (group commit batches appends).", s.journal.log.Syncs())
 		gauge("soteriad_journal_truncated_bytes", "Torn-tail bytes truncated when the journal was opened.", int64(s.journal.replay.TruncatedBytes))
 	}
 
@@ -55,8 +55,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("soteriad_store_disk_hits_total", "Persistent store hits served from disk.", ss.DiskHits)
 	counter("soteriad_store_misses_total", "Persistent store misses.", ss.Misses)
 	counter("soteriad_store_puts_total", "Records written to the persistent store.", ss.Puts)
+	counter("soteriad_store_syncs_total", "fsyncs issued by the persistent store's record log (group commit batches puts).", ss.Syncs)
 	counter("soteriad_store_evictions_total", "Records evicted from the store's memory front.", ss.Evictions)
-	counter("soteriad_store_corrupt_total", "Corrupt records quarantined on read.", ss.Corrupt)
+	counter("soteriad_store_corrupt_total", "Corrupt records quarantined, at open or on read.", ss.Corrupt)
 
 	// Explicit-engine memo totals, aggregated from the span trees of
 	// completed jobs.

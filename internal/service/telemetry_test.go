@@ -13,6 +13,7 @@ import (
 
 	"github.com/soteria-analysis/soteria/internal/obs"
 	"github.com/soteria-analysis/soteria/internal/paperapps"
+	"github.com/soteria-analysis/soteria/internal/store"
 )
 
 // syncWriter serializes log writes from the worker and HTTP goroutines
@@ -42,7 +43,7 @@ func (s *syncWriter) String() string {
 // cumulative histogram buckets ending at +Inf) and must expose the
 // latency histograms and memo hit rates.
 func TestMetricsExposition(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{Workers: 2, Store: openStore(t, t.TempDir(), store.Options{})})
 
 	resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{
 		"name": "smoke-alarm", "source": paperapps.SmokeAlarm,
@@ -127,6 +128,13 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if v := sampleValue(t, string(data2), "soteriad_commit_seconds_count"); v < 1 {
 		t.Fatalf("soteriad_commit_seconds_count = %v, want >= 1", v)
+	}
+	// The commit put the record and an fsync of the store's log covered
+	// it; concurrent puts may share one, so syncs never exceed puts.
+	puts := sampleValue(t, string(data2), "soteriad_store_puts_total")
+	syncs := sampleValue(t, string(data2), "soteriad_store_syncs_total")
+	if puts != 1 || syncs < 1 || syncs > puts {
+		t.Fatalf("soteriad_store_puts_total = %v, soteriad_store_syncs_total = %v, want 1 and 1", puts, syncs)
 	}
 }
 
